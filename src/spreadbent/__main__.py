@@ -1,0 +1,7 @@
+"""`python -m spreadbent`: the command-line front end (see cli)."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -25,11 +25,32 @@ line of lowercase hex; lines starting with `#` are comments (writers put
 `m=.. family=..` provenance there) and are skipped on load.
 """
 
+from functools import cache
+
 import numpy as np
 
 from .field import FieldCtx
 
 MAX_N = 26
+# entries per block of the cache-blocked loops below (256 KB of int32)
+BLOCK = 1 << 16
+
+
+@cache
+def _byte_tables():
+    """The first three butterfly stages act within each group of 8 inputs,
+    i.e. within one byte of the packed table, so they are one lookup per
+    byte.  Returns, per byte value, the 8-point Walsh transform of its bits
+    (256 x 8, int32) and their ANF packed as a byte."""
+    e = np.arange(256)
+    bits = (e[:, None] >> e[:8]) & 1  # LSB first, as packbits
+    signs = 1 - 2 * (np.bitwise_count(e[:8, None] & e[:8]) & 1).astype(int)
+    subsets = (e[:8, None] & ~e[:8]) == 0  # j below w in the bit order
+    walsh = ((1 - 2 * bits) @ signs).astype(np.int32)
+    anf = np.packbits((bits @ subsets) & 1, axis=1, bitorder="little").ravel()
+    walsh.setflags(write=False)  # shared by every caller
+    anf.setflags(write=False)
+    return walsh, anf
 
 
 class TruthTable:
@@ -75,18 +96,32 @@ class TruthTable:
 
 def walsh_spectrum(tt: TruthTable) -> np.ndarray:
     """All 2^n Walsh coefficients, int32, index = mask w."""
-    v = 1 - 2 * tt.bits.astype(np.int32)
-    h = 1
-    size = v.shape[0]
-    while h < size:
-        V = v.reshape(-1, 2 * h)
-        a = V[:, :h]
-        b = V[:, h:]
-        diff = a - b
-        a += b
-        b[:] = diff
-        h *= 2
+    if tt.n >= 3:
+        v = _byte_tables()[0][np.packbits(tt.bits, bitorder="little")].ravel()
+        h = 8
+    else:
+        v = 1 - 2 * tt.bits.astype(np.int32)
+        h = 1
+    scratch = np.empty(v.size // 2, dtype=np.int32)
+    # the stages within a block run block by block while it is in cache
+    block = min(v.size, BLOCK)
+    for b0 in range(0, v.size, block):
+        _walsh_stages(v[b0:b0 + block], scratch, h)
+    _walsh_stages(v, scratch, block)
     return v
+
+
+def _walsh_stages(v, scratch, h):
+    """The butterfly stages h, 2h, .. < v.size, in place; scratch holds the
+    differences of each stage."""
+    while h < v.size:
+        V = v.reshape(-1, 2 * h)
+        a, b = V[:, :h], V[:, h:]
+        diff = scratch[:v.size // 2].reshape(-1, h)
+        np.subtract(a, b, out=diff)
+        a += b
+        b[...] = diff
+        h *= 2
 
 
 def walsh_at(tt: TruthTable, w: int) -> int:
@@ -117,21 +152,28 @@ def is_bent(tt: TruthTable, spectrum=None) -> bool:
     """Flat absolute spectrum |W| = 2^(n/2) everywhere; even n only."""
     if tt.n % 2:
         raise ValueError("bent functions exist only for even n")
-    s = walsh_spectrum(tt) if spectrum is None else spectrum
-    return bool((np.abs(s) == 1 << (tt.n // 2)).all())
+    s = walsh_spectrum(tt) if spectrum is None else np.asarray(spectrum)
+    flat = 1 << (tt.n // 2)
+    # block by block, so no temporary the size of the spectrum
+    return all(bool((np.abs(s[i:i + BLOCK]) == flat).all())
+               for i in range(0, s.size, BLOCK))
 
 
 def mobius_transform(bits: np.ndarray) -> np.ndarray:
     """XOR-butterfly Mobius transform (an involution): truth table <-> ANF
-    coefficient vector."""
-    v = np.array(bits, dtype=np.uint8)
+    coefficient vector.
+
+    Runs on the packed bits: one lookup per byte for the stages within a
+    byte, then the XOR butterflies over whole bytes.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    v = _byte_tables()[1][np.packbits(bits, bitorder="little")]
     h = 1
-    size = v.shape[0]
-    while h < size:
+    while h < v.size:
         V = v.reshape(-1, 2 * h)
         V[:, h:] ^= V[:, :h]
         h *= 2
-    return v
+    return np.unpackbits(v, count=bits.size, bitorder="little")
 
 
 def anf(tt: TruthTable) -> np.ndarray:
@@ -141,11 +183,19 @@ def anf(tt: TruthTable) -> np.ndarray:
 
 
 def degree(tt: TruthTable) -> int:
-    """Algebraic degree: heaviest monomial in the ANF (0 for constants)."""
-    nz = np.flatnonzero(anf(tt))
-    if nz.size == 0:
-        return 0
-    return int(np.bitwise_count(nz.astype(np.uint64)).max())
+    """Algebraic degree: heaviest monomial in the ANF (0 for constants).
+
+    The maximum of anf * popcount(index), a block of rows at a time, with
+    the index split into high and low halves: popcount(index) is the outer
+    sum of the two halves' popcounts.
+    """
+    low = tt.n // 2
+    A = anf(tt).reshape(-1, 1 << low)
+    pc = np.bitwise_count(np.arange(A.shape[0], dtype=np.uint32))
+    pc_low = pc[:A.shape[1]]
+    rows = max(1, BLOCK // A.shape[1])
+    return max(int((A[r:r + rows] * (pc[r:r + rows, None] + pc_low)).max())
+               for r in range(0, A.shape[0], rows))
 
 
 def save_tt(tt: TruthTable, path, header: str | None = None):

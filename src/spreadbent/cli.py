@@ -31,6 +31,7 @@ from .boolfun import (
 )
 from .construct import (
     CertificationError,
+    _certify,
     ps_minus,
     ps_plus,
     random_selector,
@@ -119,6 +120,12 @@ def cmd_qf_verify(args) -> int:
 
 def cmd_qf_divide(args) -> int:
     Q = _family(args)
+    q = Q.ctx.order
+    for flag in ("x", "y"):
+        v = getattr(args, flag)
+        if not 0 <= v < q:
+            raise ValueError(f"--{flag} {v:#x} is not a field element: "
+                             f"need 0 <= {flag} < {q:#x}")
     div = Q.qdiv_formula if args.method == "formula" else Q.qdiv_oracle
     result = div(args.y, args.x)
     _emit({"command": "qf divide", **_family_pairs(Q),
@@ -169,9 +176,15 @@ def cmd_poly_invert_linearized(args) -> int:
 def cmd_bent_build(args) -> int:
     Q = _family(args)
     g, g_echo = _selector(args.g, args.m)
-    f = ps_minus(Q, g, certify=not args.no_certify)
+    f = ps_minus(Q, g, certify=False)
+    if not args.no_certify:
+        # one Walsh transform certifies f and gives the spectrum= line
+        s = walsh_spectrum(f)
+        _certify(Q, g, f, s)
     if args.plus:
         f = ps_plus(f)
+        if not args.no_certify:
+            np.negative(s, out=s)  # the complement's spectrum
     header_params = [f"{k}={v}" for k, v in Q.params.items()]
     if args.modulus is not None:
         header_params.append(f"modulus={_elem(Q.ctx.modulus)}")
@@ -187,11 +200,8 @@ def cmd_bent_build(args) -> int:
         pairs["bent"] = "skipped"
         pairs["spectrum"] = "skipped"
     else:
-        s = walsh_spectrum(f)
-        pairs["bent"] = is_bent(f, spectrum=s)
-        values, counts = np.unique(s, return_counts=True)
-        pairs["spectrum"] = ",".join(
-            f"{int(v)}:{int(c)}" for v, c in zip(values, counts))
+        pairs["bent"] = True  # certified above
+        pairs["spectrum"] = spectrum_summary(f, s)
     _emit(pairs)
     return 0
 
@@ -218,7 +228,7 @@ def cmd_bent_spectrum(args) -> int:
     s = walsh_spectrum(f)
     if args.summary:
         _emit({"command": "bent spectrum", "tt": args.tt, "n": f.n,
-               "summary": spectrum_summary(f)})
+               "summary": spectrum_summary(f, s)})
         return 0
     width = -(-f.n // 4)  # zero-padded hex keys sort numerically
     out = sys.stdout

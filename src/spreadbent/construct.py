@@ -25,7 +25,7 @@ import random
 
 import numpy as np
 
-from .boolfun import TruthTable, is_bent, walsh_spectrum
+from .boolfun import BLOCK, TruthTable, is_bent, walsh_spectrum
 from .quasifield import PreQuasifield
 from .spread import Spread
 
@@ -121,11 +121,18 @@ def ps_minus(Q: PreQuasifield, g: Selector, certify: bool = True) -> TruthTable:
     D = Q.div_table_formula()
     bits = g.table[D.ravel()]  # row-major: position (y << m) | x
     tt = TruthTable(2 * m, bits)
-    if certify and not is_bent(tt):
-        raise CertificationError(
-            f"{Q.kind} (m={m}, {Q.params}): construction is not bent "
-            f"with support {g.support}")
+    if certify:
+        _certify(Q, g, tt)
     return tt
+
+
+def _certify(Q: PreQuasifield, g: Selector, tt: TruthTable, spectrum=None):
+    """Raise CertificationError unless tt, built by ps_minus(Q, g), is bent
+    (from its Walsh spectrum, computed here unless given)."""
+    if not is_bent(tt, spectrum):
+        raise CertificationError(
+            f"{Q.kind} (m={Q.ctx.m}, {Q.params}): construction is not bent "
+            f"with support {g.support}")
 
 
 def ps_from_components(S: Spread, slopes) -> TruthTable:
@@ -145,7 +152,16 @@ def ps_plus(f: TruthTable) -> TruthTable:
     return f.complement()
 
 
-def spectrum_summary(tt: TruthTable) -> str:
-    """Compact `value:count` multiset of the Walsh spectrum, value-sorted."""
-    values, counts = np.unique(walsh_spectrum(tt), return_counts=True)
+def spectrum_summary(tt: TruthTable, spectrum=None) -> str:
+    """Compact `value:count` multiset of the Walsh spectrum, value-sorted.
+
+    `spectrum`, if given, is tt's Walsh spectrum, computed earlier."""
+    s = walsh_spectrum(tt) if spectrum is None else np.asarray(spectrum)
+    # count block by block, so no sorted copy of the whole spectrum
+    parts = [np.unique(s[i:i + BLOCK], return_counts=True)
+             for i in range(0, s.size, BLOCK)]
+    values, where = np.unique(np.concatenate([v for v, _ in parts]),
+                              return_inverse=True)
+    counts = np.zeros(values.size, dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in parts]))
     return ",".join(f"{int(v)}:{int(c)}" for v, c in zip(values, counts))

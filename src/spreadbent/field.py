@@ -13,10 +13,14 @@ a + b*u, where u^2 = u + c for a base-field constant c of absolute trace 1
 
 Vectorized counterparts of the scalar operations (vmul, vinv, vpow, ...)
 operate on numpy integer arrays elementwise and are used by the exhaustive
-sweeps elsewhere in the package.
+sweeps elsewhere in the package.  They run on lookup tables built on first
+use: zero-sentinel log/exp tables (zlog[0] points into a zero tail of zexp,
+so zexp[zlog[a] + zlog[b]] = a b with no special case for 0) and the
+Frobenius tables frob[j][a] = a^(2^j).  Every table is read-only, since
+field_ctx shares one context per field across the process.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -142,12 +146,12 @@ class FieldCtx:
         exp[q1:] = exp[:q1]
         log = np.zeros(self.order, dtype=np.int32)
         log[exp[:q1]] = np.arange(q1, dtype=np.int32)
-        self._exp = exp
-        self._log = log
+        self._exp = _frozen(exp)
+        self._log = _frozen(log)
 
         inv = np.zeros(self.order, dtype=np.int32)
         inv[1:] = exp[q1 - log[1:]]
-        self._inv = inv
+        self._inv = _frozen(inv)
 
         # trace is F2-linear: fold it into a bit mask so that
         # trace(a) = parity(popcount(a & mask))
@@ -164,7 +168,7 @@ class FieldCtx:
         self._trace_mask = mask
         tr = np.bitwise_count(np.arange(self.order, dtype=np.uint32)
                               & np.uint32(mask)).astype(np.uint8) & 1
-        self.trace_table = tr
+        self.trace_table = _frozen(tr)
         self._ext = None
 
     def _find_generator(self) -> int:
@@ -286,28 +290,56 @@ class FieldCtx:
         s0 = self.artin_schreier_root(c ^ ext.c)
         return (self.mul(x, s0), x)
 
+    # -- lookup tables, built on first use -----------------------------------
+
+    @cached_property
+    def zlog(self) -> np.ndarray:
+        """Discrete log with a zero sentinel, as intp: zlog[0] = 2(q-1).
+
+        A sum of two entries indexes zexp; any sum involving zlog[0] lands
+        in zexp's zero tail, so zexp[zlog[a] + zlog[b]] = a b for all a, b.
+        """
+        zlog = self._log.astype(np.intp)
+        zlog[0] = 2 * self._q1
+        return _frozen(zlog)
+
+    @cached_property
+    def zexp(self) -> np.ndarray:
+        """exp over [0, 2(q-1)) followed by a zero tail up to 4(q-1)."""
+        zexp = np.zeros(4 * self._q1 + 1, dtype=np.int32)
+        zexp[:2 * self._q1] = self._exp
+        return _frozen(zexp)
+
+    @cached_property
+    def frob(self) -> np.ndarray:
+        """frob[j][a] = a^(2^j) for 0 <= j < m, shape (m, 2^m), int32."""
+        F = np.empty((self.m, self.order), dtype=np.int32)
+        F[0] = np.arange(self.order)
+        for j in range(1, self.m):
+            F[j] = self.vmul(F[j - 1], F[j - 1])
+        return _frozen(F)
+
     # -- vectorized operations (numpy int arrays of elements) ----------------
 
     def vmul(self, A, B):
-        out = self._exp[self._log[A] + self._log[B]]
-        return np.where((A == 0) | (B == 0), 0, out).astype(np.int32)
+        return self.zexp[self.zlog[A] + self.zlog[B]]
 
     def vinv(self, A):
         return self._inv[A]
 
     def vpow(self, A, e: int):
-        """Elementwise A**e for a fixed exponent e >= 0."""
+        """Elementwise A**e for a fixed exponent e >= 0, gathered from the
+        table of a**e over the whole field."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         if e == 0:
             return np.ones_like(np.asarray(A), dtype=np.int32)
-        er = e % self._q1
-        idx = (self._log[A].astype(np.int64) * er) % self._q1
-        out = self._exp[idx]
-        return np.where(np.asarray(A) == 0, 0, out).astype(np.int32)
+        T = self._exp[(self._log.astype(np.int64) * (e % self._q1)) % self._q1]
+        T[0] = 0
+        return T[A]
 
     def vsqr(self, A):
-        return self.vpow(A, 2)
+        return self.frob[1][A]
 
     def vtrace(self, A):
         return self.trace_table[A]
@@ -358,6 +390,11 @@ class ExtCtx:
             p = self.mul(p, p)
             e >>= 1
         return r
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,8 @@ serves as the oracle for moderate k.
 
 import math
 
+import numpy as np
+
 from .field import FieldCtx
 
 
@@ -167,10 +169,25 @@ def dickson_inverse_exponent(k: int, m: int) -> int:
     return pow(k, -1, n)
 
 
-def dickson_eval(ctx: FieldCtx, k: int, x: int) -> int:
-    """D_k(x) over GF(2^m) via the root-power identity in GF(2^(2m))."""
+def dickson_eval(ctx: FieldCtx, k: int, x):
+    """D_k(x) over GF(2^m) via the root-power identity in GF(2^(2m)).
+
+    For a numpy array x every value comes at once from the identity's
+    doubling ladder D_2n = D_n^2, D_2n+1 = D_n D_n+1 + x, which stays in
+    the base field.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if isinstance(x, np.ndarray):
+        x = x.astype(np.int32)
+        lo, hi = np.zeros_like(x), x  # D_n, D_n+1 at n = 0
+        for bit in bin(k)[2:]:
+            cross = ctx.vmul(lo, hi) ^ x
+            if bit == "1":
+                lo, hi = cross, ctx.vsqr(hi)
+            else:
+                lo, hi = ctx.vsqr(lo), cross
+        return lo
     if x == 0:
         return 0  # in characteristic 2 every D_k vanishes at 0 (D_0 = 2 = 0)
     ext = ctx.ext
@@ -223,15 +240,21 @@ def combo_coeffs(ctx: FieldCtx, r: int, reading: str = READING_FULL) -> list[int
     c_0 sums r^(2^j) over odd j up to the reading's endpoint; for odd i > 0
     the list is odd j < i then even j in (i, m-1], plus the constant 1; for
     even i > 0 it is even j < i then odd j in (i, m-2].
+
+    r may also be a numpy array of parameters; each coefficient is then the
+    array of that coefficient over r.
     """
     if reading not in COMBO_READINGS:
         raise ValueError(f"unknown reading {reading!r}")
     m = ctx.m
-    frob = []
-    s = r
-    for _ in range(m):
-        frob.append(s)
-        s = ctx.mul(s, s)
+    if isinstance(r, np.ndarray):
+        frob = list(ctx.frob[:, r])
+    else:
+        frob = []
+        s = r
+        for _ in range(m):
+            frob.append(s)
+            s = ctx.mul(s, s)
 
     def fsum(idxs):
         out = 0

@@ -28,7 +28,6 @@ pre-semifields (field, Knuth, Kantor) from Dempwolff-Muller, which fails it.
 """
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,9 @@ from .polynomials import (
 
 STRICT_MAX_M = 7
 AXIOM_MAX_M = 8
+# entries per row block of a closed-form division table: each scratch array
+# of a block holds this many intp values (512 KB), so a block stays in cache
+BLOCK_ENTRIES = 1 << 16
 
 FAMILY_NAMES = ("field", "dm", "knuth", "kantor")
 
@@ -197,6 +199,25 @@ class PreQuasifield:
                 f"division disagrees with the brute-force oracle")
 
 
+def _blocked_table(q: int, fill, *scratch) -> np.ndarray:
+    """A q x q int32 table built a block of rows at a time.
+
+    fill(ys, out, *bufs) writes rows ys (a slice) into out, using one
+    workspace array of the block's shape per dtype in `scratch`.
+    """
+    rows = min(q, max(1, BLOCK_ENTRIES // q))
+    D = np.empty((q, q), dtype=np.int32)
+    bufs = [np.empty((rows, q), dtype=dt) for dt in scratch]
+    for y0 in range(0, q, rows):
+        fill(slice(y0, y0 + rows), D[y0:y0 + rows], *bufs)
+    return D
+
+
+def _gather(table, idx, out):
+    """out = table[idx] without a temporary; every index is in range."""
+    return np.take(table, idx, out=out, mode="clip")
+
+
 class FieldFamily(PreQuasifield):
     """The field itself: a <> x = a x, division is field division."""
 
@@ -214,9 +235,14 @@ class FieldFamily(PreQuasifield):
         return self.ctx.vmul(e[:, None], e[None, :])
 
     def _div_table_impl(self):
-        q = self.ctx.order
-        e = np.arange(q)
-        return self.ctx.vmul(e[:, None], self.ctx.vinv(e)[None, :])
+        ctx = self.ctx
+        ly, lxi = ctx.zlog, ctx.zlog[ctx.vinv(np.arange(ctx.order))]
+
+        def fill(ys, out, idx):
+            np.add(ly[ys, None], lxi, out=idx)
+            _gather(ctx.zexp, idx, out)
+
+        return _blocked_table(ctx.order, fill, np.intp)
 
 
 class DempwolffMullerFamily(PreQuasifield):
@@ -276,14 +302,24 @@ class DempwolffMullerFamily(PreQuasifield):
         return ctx.vmul(ctx.vpow(e, self.e)[:, None], L)
 
     def _div_table_impl(self):
+        # y // x = (1/x) (1/D_d(arg)), arg = y^2 / x^(2^k + 1), as log sums
         ctx = self.ctx
         q = ctx.order
+        zlog, zexp = ctx.zlog, ctx.zexp.astype(np.intp)
         e = np.arange(q)
-        dick = np.array([dickson_eval(ctx, self.d, v) for v in range(q)],
-                        dtype=np.int32)
-        xpinv = ctx.vinv(ctx.vpow(e, (1 << self.k) + 1))
-        ARG = ctx.vmul(ctx.vsqr(e)[:, None], xpinv[None, :])
-        return ctx.vinv(ctx.vmul(e[None, :], dick[ARG]))
+        l_dinv = zlog[ctx.vinv(dickson_eval(ctx, self.d, e))]  # of arg
+        l_y2 = zlog[ctx.frob[1]]
+        l_xp = zlog[ctx.vinv(ctx.vpow(e, (1 << self.k) + 1))]
+        l_xinv = zlog[ctx.vinv(e)]
+
+        def fill(ys, out, idx, arg):
+            np.add(l_y2[ys, None], l_xp, out=idx)
+            _gather(zexp, idx, arg)
+            _gather(l_dinv, arg, idx)
+            idx += l_xinv
+            _gather(ctx.zexp, idx, out)
+
+        return _blocked_table(q, fill, np.intp, np.intp)
 
 
 class KnuthFamily(PreQuasifield):
@@ -346,27 +382,36 @@ class KnuthFamily(PreQuasifield):
         return T
 
     def _div_table_impl(self):
+        # For fixed x every term of the division formula is F2-linear in y:
+        # tr(beta y/x) = sum_i (beta/x)^(2^i) y^(2^i), and C(y/x^2) is a
+        # linearized polynomial.  So y // x = sum_i c_i(x) y^(2^i), with
+        #   c_i(x) = x (beta/x)^(2^i) + tr(beta x) x C_i(beta x) / x^(2^(i+1))
+        #            (+ 1/x for i = 0 when tr(beta x) = 0).
         ctx = self.ctx
-        q = ctx.order
-        m = ctx.m
+        q, m = ctx.order, ctx.m
+        frob, zlog = ctx.frob, ctx.zlog
         e = np.arange(q)
         xinv = ctx.vinv(e)
-        tbx = ctx.vtrace(ctx.vmul(self.beta, e))
-        YX = ctx.vmul(e[:, None], xinv[None, :])
-        D = YX * (tbx[None, :] == 0)
-        D ^= e[None, :] * ctx.vtrace(ctx.vmul(self.beta, YX))
-        # third term, only for columns with tr(beta x) = 1
-        combo = np.zeros((m, q), dtype=np.int32)
-        for x in range(1, q):
-            if tbx[x]:
-                combo[:, x] = combo_coeffs(ctx, ctx.mul(self.beta, x))
-        C = np.zeros((q, q), dtype=np.int32)
-        S = ctx.vmul(YX, xinv[None, :])  # y / x^2
+        bx, b_x = ctx.vmul(self.beta, e), ctx.vmul(self.beta, xinv)
+        tbx = ctx.vtrace(bx).astype(bool)
+        combo = combo_coeffs(ctx, bx)
+        coef = np.empty((m, q), dtype=np.int32)
         for i in range(m):
-            C ^= ctx.vmul(combo[i][None, :], S)
-            S = ctx.vsqr(S)
-        D ^= ctx.vmul((e * tbx)[None, :], C)
-        return D
+            c_trace = ctx.vmul(e, frob[i][b_x])
+            c_combo = ctx.vmul(ctx.vmul(e, np.where(tbx, combo[i], 0)),
+                               frob[(i + 1) % m][xinv])
+            coef[i] = c_trace ^ c_combo
+        coef[0] ^= xinv * ~tbx
+        l_coef, l_frob = zlog[coef], zlog[frob]
+
+        def fill(ys, out, idx, term):
+            for i in range(m):
+                np.add(l_frob[i, ys, None], l_coef[i], out=idx)
+                _gather(ctx.zexp, idx, term if i else out)
+                if i:
+                    out ^= term
+
+        return _blocked_table(q, fill, np.intp, np.int32)
 
 
 class KantorFamily(PreQuasifield):
@@ -403,23 +448,43 @@ class KantorFamily(PreQuasifield):
         return T
 
     def _div_table_impl(self):
+        # y // x = p(x) (y^h + t) + c(x) (br(xy) + t s(x)) with t = tr(xy),
+        # h = 2^(m-1), p(x) = x^(h-1), c(x) = tr(x)/x, br(v) = v^h +
+        # sum_i v^(4^i) and s(x) = 1 + sum_i x^(4^i); the products become
+        # log sums and the t terms one masked XOR of p(x) + c(x) s(x).
         ctx = self.ctx
-        q = ctx.order
-        m = ctx.m
-        h = 1 << (m - 1)
-        e = np.arange(q)
-        XY = ctx.vmul(e[:, None], e[None, :])  # row y, column x
-        t_xy = ctx.vtrace(XY)
-        D = ctx.vmul(ctx.vpow(e, h - 1)[None, :], ctx.vpow(e, h)[:, None] ^ t_xy)
-        BR = ctx.vpow(XY, h)
+        q, m = ctx.order, ctx.m
+        frob, zlog = ctx.frob, ctx.zlog
+        zexp = ctx.zexp.astype(np.intp)
+        br = frob[m - 1].copy()
         for i in range((m - 1) // 2 + 1):
-            BR ^= ctx.vpow(XY, 1 << (2 * i))
+            br ^= frob[2 * i]
         s = np.ones(q, dtype=np.int32)
         for i in range((m - 3) // 2 + 1):
-            s ^= ctx.vpow(e, 1 << (2 * i))
-        BR ^= t_xy * s[None, :]
-        D ^= ctx.vmul((ctx.vinv(e) * ctx.vtrace(e))[None, :], BR)
-        return D
+            s ^= frob[2 * i]
+        e = np.arange(q)
+        p = ctx.vpow(e, (1 << (m - 1)) - 1)
+        c = ctx.vinv(e) * ctx.trace_table
+        l_br = zlog[br]
+        l_yh, l_p, l_c = zlog[frob[m - 1]], zlog[p], zlog[c]
+        t_mask = -ctx.trace_table.astype(np.intp)  # v -> all ones iff tr(v)
+        w = p ^ ctx.vmul(c, s)
+
+        def fill(ys, out, idx, xy, acc):
+            np.add(zlog[ys, None], zlog, out=idx)
+            _gather(zexp, idx, xy)
+            _gather(l_br, xy, idx)
+            idx += l_c
+            _gather(zexp, idx, acc)
+            _gather(t_mask, xy, idx)
+            idx &= w
+            acc ^= idx
+            np.add(l_yh[ys, None], l_p, out=idx)
+            _gather(zexp, idx, xy)
+            acc ^= xy
+            out[:] = acc
+
+        return _blocked_table(q, fill, np.intp, np.intp, np.intp)
 
 
 def make_family(name: str, m: int, *, k=None, beta=None, modulus=None,
@@ -467,17 +532,6 @@ def verify_axioms(family: PreQuasifield) -> AxiomReport:
 
     additive = bool(np.array_equal(G, G.T) and not np.any(e ^ e)
                     and np.array_equal(G[0], e))
-    if ctx.m <= 5:
-        A3 = G[:, :, None] ^ e[None, None, :]
-        B3 = e[:, None, None] ^ G[None, :, :]
-        additive = additive and bool(np.array_equal(A3, B3))
-    else:
-        rng = random.Random(q)
-        for _ in range(20000):
-            x, y, z = (rng.randrange(q) for _ in range(3))
-            if (x ^ y) ^ z != x ^ (y ^ z):
-                additive = False
-                break
 
     zero_law = bool(not np.any(T[0]) and not np.any(T[:, 0]))
     left_bij = _rows_are_permutations(T, 1)

@@ -93,12 +93,16 @@ def test_spectrum_of_linear_function():
     assert np.count_nonzero(s) == 1
 
 
-@pytest.mark.parametrize("n", [1, 3, 6])
-def test_spectrum_matches_direct_sum(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
+def test_spectrum_matches_direct_sum(n, monkeypatch):
+    import spreadbent.boolfun as bf
     tt = random_tt(n, n)
-    s = walsh_spectrum(tt)
-    for w in range(1 << n):
-        assert s[w] == walsh_at(tt, w)
+    for block in (bf.BLOCK, 16):  # one block, and several from n = 5 on
+        monkeypatch.setattr(bf, "BLOCK", block)
+        s = walsh_spectrum(tt)
+        assert s.dtype == np.int32
+        for w in range(1 << n):
+            assert s[w] == walsh_at(tt, w)
 
 
 @pytest.mark.parametrize("n", [4, 8, 11])
@@ -149,6 +153,18 @@ def test_bent_rejects_odd_arity():
 def test_is_bent_accepts_precomputed_spectrum():
     tt = inner_product_tt(2)
     assert is_bent(tt, spectrum=walsh_spectrum(tt))
+
+
+def test_is_bent_checks_every_block(monkeypatch):
+    import spreadbent.boolfun as bf
+    monkeypatch.setattr(bf, "BLOCK", 16)
+    tt = inner_product_tt(4)
+    s = walsh_spectrum(tt)
+    assert is_bent(tt, spectrum=s)
+    for w in (0, 17, 255):  # first, a middle and the last block
+        bad = s.copy()
+        bad[w] = 0
+        assert not is_bent(tt, spectrum=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +276,62 @@ def test_load_rejects_bad_sizes(tmp_path):
 def test_save_rejects_tiny_tables(tmp_path):
     with pytest.raises(ValueError):
         save_tt(TruthTable(2, [0, 1, 1, 0]), tmp_path / "x.tt")
+
+
+# ---------------------------------------------------------------------------
+# blocked transforms and degree
+
+
+def direct_mobius(bits):
+    """The XOR butterfly on unpacked bits, one stage at a time."""
+    v = np.array(bits, dtype=np.uint8)
+    h = 1
+    while h < v.size:
+        V = v.reshape(-1, 2 * h)
+        V[:, h:] ^= V[:, :h]
+        h *= 2
+    return v
+
+
+def direct_degree(tt):
+    a = anf(tt)
+    return max((bin(s).count("1") for s in range(1 << tt.n) if a[s]),
+               default=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12])
+def test_mobius_matches_direct_butterfly(n):
+    for seed in range(3):
+        bits = random_tt(n, seed).bits
+        assert np.array_equal(mobius_transform(bits), direct_mobius(bits))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_degree_matches_enumeration(n, monkeypatch):
+    import spreadbent.boolfun as bf
+    rng = np.random.default_rng(n)
+    for block in (bf.BLOCK, 4):  # the default and many row blocks
+        monkeypatch.setattr(bf, "BLOCK", block)
+        for seed in range(3):
+            tt = random_tt(n, 100 * n + seed)
+            assert degree(tt) == direct_degree(tt)
+            # a random ANF with monomials of degree <= d only
+            d = int(rng.integers(0, n + 1))
+            pc = np.bitwise_count(np.arange(1 << n))
+            coeffs = (rng.integers(0, 2, 1 << n) * (pc <= d)).astype(np.uint8)
+            tt = TruthTable(n, mobius_transform(coeffs))
+            assert degree(tt) == direct_degree(tt)
+
+
+def test_degree_of_constants_and_monomials():
+    for n in (1, 4, 11):
+        size = 1 << n
+        assert degree(TruthTable(n, np.zeros(size, dtype=np.uint8))) == 0
+        assert degree(TruthTable(n, np.ones(size, dtype=np.uint8))) == 0
+        x = np.arange(size)
+        for mask in {1, size - 1, 0b101 & (size - 1), size >> 1}:
+            # the monomial prod_{i in mask} x_i, alone and plus a constant
+            bits = ((x & mask) == mask).astype(np.uint8)
+            k = bin(mask).count("1")
+            assert degree(TruthTable(n, bits)) == k
+            assert degree(TruthTable(n, bits ^ 1)) == k

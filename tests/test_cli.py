@@ -99,6 +99,26 @@ def test_divide_solves_left_operand(capsys):
     assert make_family("kantor", 5).qmul(a, 0x9) == 0x1C
 
 
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+@pytest.mark.parametrize("value", ["-1", "8"])
+def test_divide_rejects_non_elements(flag, value, capsys):
+    argv = {"--x": "3", "--y": "5"}
+    argv[flag] = value
+    code = run(["qf", "divide", "--family", "field", "--m", "3",
+                "--x", argv["--x"], "--y", argv["--y"]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert flag in captured.err and "Traceback" not in captured.err
+
+
+def test_divide_accepts_the_field_range(capsys):
+    for x, y in (("0", "0"), ("7", "7")):
+        assert run(["qf", "divide", "--family", "field", "--m", "3",
+                    "--x", x, "--y", y]) == 0
+        assert report(capsys)["x"] == f"0x{x}"
+
+
 def test_modulus_override(capsys):
     assert run(["qf", "divide", "--family", "field", "--m", "3",
                 "--modulus", "d", "--x", "2", "--y", "3"]) == 0
@@ -295,6 +315,108 @@ def test_console_script_installed(tmp_path):
     origin, version = r.stdout.splitlines()
     assert Path(origin).resolve().is_relative_to(tmp_path.resolve())
     assert version == __version__
+
+
+def test_python_m_spreadbent(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    r = subprocess.run([sys.executable, "-m", "spreadbent", "--version"],
+                       capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == f"spreadbent {__version__}\n"
+    r = subprocess.run([sys.executable, "-m", "spreadbent", "qf", "divide",
+                        "--family", "field", "--m", "3", "--x", "9",
+                        "--y", "1"],
+                       capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 2 and "--x" in r.stderr
+
+
+# stdout and .tt sha256 of `bent build ... --out <family>.tt`, pinned from
+# the whole-array implementation that preceded the row-blocked tables
+GOLDEN_BUILDS = {
+    "field": (["--family", "field", "--m", "7", "--g", "random:1"],
+              "certified=true\ncommand=bent build\ndegree=7\nfamily=field\n"
+              "g=random:1\nm=7\nmodulus=0x83\nn=14\nout=field.tt\n"
+              "plus=false\nspectrum=-128:8128,128:8256\nweight=8128\n",
+              "9c0096ff435d96c426e7bab527a6a57c7c6db6f5d3823bf59f35fa8e53baa6f0"),
+    "dm": (["--family", "dm", "--m", "7", "--k", "3", "--g", "random:2"],
+           "certified=true\ncommand=bent build\nd=4681\ndegree=7\ne=59\n"
+           "family=dm\ng=random:2\nk=3\nm=7\nmodulus=0x83\nn=14\n"
+           "out=dm.tt\nplus=false\nspectrum=-128:8128,128:8256\n"
+           "weight=8128\n",
+           "b5382ba2d548ac31d51d9360e78d6208ebee14dfacc47e3161b326fbfd3ad9ff"),
+    "knuth": (["--family", "knuth", "--m", "7", "--beta", "5",
+               "--g", "random:3", "--plus"],
+              "beta=0x5\ncertified=true\ncommand=bent build\ndegree=7\n"
+              "family=knuth\ng=random:3\nm=7\nmodulus=0x83\nn=14\n"
+              "out=knuth.tt\nplus=true\nspectrum=-128:8256,128:8128\n"
+              "weight=8256\n",
+              "8d961067fd8cb7a08a3a82d5012092a1256e92ddb0d39eb69f3e19fceb1069d0"),
+    "kantor": (["--family", "kantor", "--m", "7", "--g", "random:4"],
+               "certified=true\ncommand=bent build\ndegree=7\n"
+               "family=kantor\ng=random:4\nm=7\nmodulus=0x83\nn=14\n"
+               "out=kantor.tt\nplus=false\nspectrum=-128:8128,128:8256\n"
+               "weight=8128\n",
+               "17794bf85ef0e1b54808490525fff97fad14e8a08271aee2cecb66d70f507420"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_BUILDS))
+def test_build_reproduces_pinned_output(family, tmp_path, monkeypatch, capsys):
+    import hashlib
+    argv, stdout, sha = GOLDEN_BUILDS[family]
+    monkeypatch.chdir(tmp_path)
+    assert run(["bent", "build", *argv, "--out", f"{family}.tt"]) == 0
+    assert capsys.readouterr().out == "bent=true\n" + stdout
+    data = (tmp_path / f"{family}.tt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == sha
+
+
+def test_build_runs_one_walsh_transform(tmp_path, monkeypatch, capsys):
+    import spreadbent.boolfun as boolfun
+    import spreadbent.cli as cli
+    import spreadbent.construct as construct
+    calls = []
+
+    def counting(tt):
+        calls.append(tt.n)
+        return walsh(tt)
+
+    walsh = boolfun.walsh_spectrum
+    for module in (boolfun, construct, cli):  # wherever it is looked up
+        monkeypatch.setattr(module, "walsh_spectrum", counting)
+    for plus in ([], ["--plus"]):
+        calls.clear()
+        assert run(["bent", "build", "--family", "kantor", "--m", "5",
+                    "--g", "random:1", "--out", str(tmp_path / "f.tt"),
+                    *plus]) == 0
+        assert calls == [10]
+        rep = report(capsys)
+        assert rep["bent"] == "true"
+        # the spectrum line is the written function's own spectrum
+        assert run(["bent", "spectrum", "--tt", str(tmp_path / "f.tt"),
+                    "--summary"]) == 0
+        assert report(capsys)["summary"] == rep["spectrum"]
+
+
+def test_build_certification_failure_exits_one(tmp_path, monkeypatch, capsys):
+    import spreadbent.cli as cli
+    from spreadbent.field import field_ctx
+    from spreadbent.quasifield import KantorFamily
+
+    class BrokenDiv(KantorFamily):
+        def _div_table_impl(self):
+            D = super()._div_table_impl().copy()
+            D[1, 1] ^= 1  # one wrong slope
+            return D
+
+    monkeypatch.setattr(cli, "_family",
+                        lambda args: BrokenDiv(field_ctx(3), strict=False))
+    assert run(["bent", "build", "--family", "kantor", "--m", "3",
+                "--g", "random:0", "--out", str(tmp_path / "f.tt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kantor (m=3, {}): construction is not bent" in captured.err
 
 
 def test_timing_goes_to_stderr(capsys):

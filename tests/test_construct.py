@@ -193,6 +193,23 @@ def test_unbalanced_selector_is_not_bent():
     assert not is_bent(TruthTable(6, bits))
 
 
+def test_spectrum_summary_counts_block_by_block(monkeypatch):
+    import random
+
+    import spreadbent.construct as construct
+    from spreadbent.boolfun import walsh_spectrum
+    rng = random.Random(3)
+    tt = TruthTable(10, [rng.randrange(2) for _ in range(1 << 10)])
+    s = walsh_spectrum(tt)
+    values, counts = np.unique(s, return_counts=True)
+    expect = ",".join(f"{v}:{c}" for v, c in zip(values, counts))
+    assert len(values) > 10
+    for block in (construct.BLOCK, 16):  # one block, and 64 of them
+        monkeypatch.setattr(construct, "BLOCK", block)
+        assert spectrum_summary(tt) == expect
+        assert spectrum_summary(tt, s) == expect
+
+
 def test_spectrum_summary_counts():
     f = ps_minus(make_family("kantor", 3), random_selector(3, 1))
     parts = dict(p.split(":") for p in spectrum_summary(f).split(","))

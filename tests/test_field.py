@@ -177,9 +177,11 @@ def test_vector_ops_match_scalar(m):
     E = np.arange(f.order, dtype=np.int32)
     assert np.array_equal(f.vinv(E), [f.inv(a) for a in E])
     assert np.array_equal(f.vtrace(E), [f.trace(a) for a in E])
-    for e in (0, 1, 2, 3, f.order - 2, 2 ** (m - 1), 1000):
+    for e in (0, 1, 2, 3, f.order - 2, f.order - 1, 2 ** (m - 1), 1000):
         assert np.array_equal(f.vpow(E, e), [f.pow(a, e) for a in E])
     assert np.array_equal(f.vsqr(E), [f.sqr(a) for a in E])
+    with pytest.raises(ValueError):
+        f.vpow(E, -1)
 
 
 # -- quadratic extension ------------------------------------------------------
@@ -248,3 +250,46 @@ def test_solve_quadratic_m3_x1_outside_base():
     f = field_ctx(3)
     t = f.solve_quadratic(1)
     assert t[1] != 0  # trace(1) = 1, so the roots avoid the base field
+
+
+# -- lookup tables -------------------------------------------------------------
+
+def test_shared_tables_are_frozen():
+    f = field_ctx(5)
+    tables = {"_exp": f._exp, "_log": f._log, "_inv": f._inv,
+              "trace_table": f.trace_table, "zlog": f.zlog, "zexp": f.zexp,
+              "frob": f.frob}
+    for name, table in tables.items():
+        with pytest.raises(ValueError):
+            table[1] = table[0]
+        with pytest.raises(ValueError):
+            table += 0
+        assert not table.flags.writeable, name
+    assert f.mul(3, 7) == FieldCtx(5).mul(3, 7)  # nothing was written
+
+
+def test_lookup_tables_are_built_on_first_use():
+    f = FieldCtx(7)
+    assert not {"zlog", "zexp", "frob"} & set(vars(f))
+    f.vmul(np.arange(4), np.arange(4))
+    assert {"zlog", "zexp"} <= set(vars(f))
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_sentinel_tables_multiply_with_zero(m):
+    f = field_ctx(m)
+    E = np.arange(f.order)
+    assert f.zlog[0] == 2 * (f.order - 1)
+    assert not f.zexp[2 * (f.order - 1):].any()
+    M = f.zexp[f.zlog[E][:, None] + f.zlog[E][None, :]]
+    for a in range(f.order):
+        for b in range(f.order):
+            assert M[a, b] == f.mul(a, b)
+
+
+@pytest.mark.parametrize("m", [2, 5, 8])
+def test_frobenius_tables(m):
+    f = field_ctx(m)
+    assert f.frob.shape == (m, f.order) and f.frob.dtype == np.int32
+    for j in range(m):
+        assert list(f.frob[j]) == [f.pow(a, 1 << j) for a in range(f.order)]

@@ -353,3 +353,34 @@ def test_variant_constants_are_members():
     assert RESOLVED_TRACE in TRACE_VARIANTS
     assert READING_FULL in COMBO_READINGS
     assert MIDDLE_POW2 in MIDDLE_VARIANTS
+
+
+# ---------------------------------------------------------------------------
+# array arguments: one call over every field element
+
+
+@pytest.mark.parametrize("m", [3, 4, 7])
+def test_dickson_eval_over_an_array(m):
+    import numpy as np
+    ctx = field_ctx(m)
+    E = np.arange(ctx.order)
+    for k in (0, 1, 2, 3, 7, 64, 12345, dickson_inverse_exponent(11, m)):
+        vals = dickson_eval(ctx, k, E)
+        assert vals.dtype == np.int32
+        assert list(vals) == [dickson_eval(ctx, k, x) for x in range(ctx.order)]
+        if k <= 64:
+            assert list(vals) == [dickson_eval_recurrence(ctx, k, x)
+                                  for x in range(ctx.order)]
+
+
+@pytest.mark.parametrize("m", [3, 5, 9])
+def test_combo_coeffs_over_an_array(m):
+    import numpy as np
+    ctx = field_ctx(m)
+    R = np.arange(ctx.order)
+    for reading in (READING_FULL, READING_SHORT):
+        cols = combo_coeffs(ctx, R, reading)
+        assert len(cols) == m
+        for r in range(ctx.order):
+            assert [int(np.broadcast_to(c, R.shape)[r]) for c in cols] == \
+                combo_coeffs(ctx, r, reading)

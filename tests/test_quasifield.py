@@ -336,3 +336,38 @@ def test_vectorized_div_tables_match_scalar_m7():
         for y in (0, 1, 2, 63, 100, q - 1):
             for x in (0, 1, 2, 63, 100, q - 1):
                 assert D[y, x] == Q.qdiv_formula(y, x)
+
+
+# ---------------------------------------------------------------------------
+# closed-form tables built in row blocks
+
+
+BLOCK_CASES = (
+    [("field", m, {}) for m in (3, 4, 8, 9)]
+    + [("dm", m, {"k": k}) for m, ks in ((3, (1,)), (5, (1, 3)), (9, (1, 5, 7)))
+       for k in ks]
+    + [("knuth", m, {"beta": b}) for m, bs in ((3, (1, 6)), (5, (1, 3, 30)),
+                                                (9, (1, 2, 0x155, 0x1FF)))
+       for b in bs]
+    + [("kantor", m, {}) for m in (3, 5, 9)])
+
+
+@pytest.mark.parametrize("name,m,params", BLOCK_CASES,
+                         ids=[f"{n}-m{m}-{'-'.join(map(str, p.values()))}"
+                              for n, m, p in BLOCK_CASES])
+def test_blocked_table_matches_oracle(name, m, params):
+    # q = 512 spans several row blocks; smaller q fits one block
+    Q = make_family(name, m, strict=False, **params)
+    D = Q.div_table_formula()
+    assert D.dtype == np.int32 and D.shape == (Q.ctx.order, Q.ctx.order)
+    assert np.array_equal(D, Q.div_table_oracle())
+
+
+@pytest.mark.parametrize("block", [1, 24])
+def test_blocked_table_one_row_at_a_time(block, monkeypatch):
+    import spreadbent.quasifield as qf
+    monkeypatch.setattr(qf, "BLOCK_ENTRIES", block)  # 1 row, or a few
+    for name, params in (("field", {}), ("dm", {"k": 3}),
+                         ("knuth", {"beta": 7}), ("kantor", {})):
+        Q = make_family(name, 5, strict=False, **params)
+        assert np.array_equal(Q.div_table_formula(), Q.div_table_oracle())
