@@ -7,10 +7,8 @@ input vector.  The Walsh coefficient at w is
     W(w) = sum_x (-1)^(f(x) + <w, x>)
 
 with <w, x> the XOR of the bits of w & x; walsh_spectrum computes all 2^n
-coefficients with the fast butterfly transform, and walsh_at / the
-field-trace variant walsh_at_trace recompute single coefficients directly
-as independent checks (the trace pairing is just a change of basis, so the
-trace-indexed values are the same multiset).
+coefficients with the fast butterfly transform, and walsh_at recomputes
+single coefficients directly as an independent check.
 
 f is bent when |W(w)| = 2^(n/2) for every w — only possible for even n, and
 the flat spectrum is exactly Parseval's identity sum W^2 = 2^(2n) spread as
@@ -28,8 +26,6 @@ line of lowercase hex; lines starting with `#` are comments (writers put
 from functools import cache
 
 import numpy as np
-
-from .field import FieldCtx
 
 MAX_N = 26
 # entries per block of the cache-blocked loops below (256 KB of int32)
@@ -130,22 +126,6 @@ def walsh_at(tt: TruthTable, w: int) -> int:
     x = np.arange(1 << tt.n)
     inner = (np.bitwise_count(x & w) & 1).astype(np.uint8)
     return int((1 - 2 * (tt.bits ^ inner).astype(np.int64)).sum())
-
-
-def walsh_at_trace(tt: TruthTable, ctx: FieldCtx, u: int, v: int) -> int:
-    """Walsh coefficient in the field-trace pairing: for f on pairs
-    (x, y) packed as (y << m) | x,
-
-        W(u, v) = sum (-1)^(f(x,y) + tr(u x) + tr(v y)).
-    """
-    m = ctx.m
-    if tt.n != 2 * m:
-        raise ValueError(f"need n = 2m = {2 * m}, got n = {tt.n}")
-    idx = np.arange(1 << tt.n)
-    x = idx & (ctx.order - 1)
-    y = idx >> m
-    e = ctx.vtrace(ctx.vmul(u, x)) ^ ctx.vtrace(ctx.vmul(v, y)) ^ tt.bits
-    return int((1 - 2 * e.astype(np.int64)).sum())
 
 
 def is_bent(tt: TruthTable, spectrum=None) -> bool:

@@ -32,6 +32,7 @@ from .boolfun import (
 from .construct import (
     CertificationError,
     _certify,
+    _label,
     ps_minus,
     ps_plus,
     random_selector,
@@ -111,7 +112,8 @@ def cmd_qf_verify(args) -> int:
              "left_distributive": report.left_distributive,
              "zero_law": report.zero_law,
              "right_distributive": report.right_distributive,
-             "division_consistent": Q.strict,
+             # the strict sweep ran and passed, or was skipped (m > 7)
+             "division_consistent": True if Q.strict else "skipped",
              "pre_semifield": report.pre_semifield,
              "passed": report.passed}
     _emit(pairs)
@@ -177,22 +179,25 @@ def cmd_bent_build(args) -> int:
     Q = _family(args)
     g, g_echo = _selector(args.g, args.m)
     f = ps_minus(Q, g, certify=False)
-    if not args.no_certify:
-        # one Walsh transform certifies f and gives the spectrum= line
-        s = walsh_spectrum(f)
-        _certify(Q, g, f, s)
-    if args.plus:
-        f = ps_plus(f)
-        if not args.no_certify:
-            np.negative(s, out=s)  # the complement's spectrum
+    # take what the report needs and drop the family, and with it its
+    # cached q x q division table, before the Walsh transform and the ANF
+    label, family = _label(Q), _family_pairs(Q)
     header_params = [f"{k}={v}" for k, v in Q.params.items()]
     if args.modulus is not None:
         header_params.append(f"modulus={_elem(Q.ctx.modulus)}")
+    del Q
+    if not args.no_certify:
+        # one Walsh transform certifies f and gives the spectrum= line
+        s = walsh_spectrum(f)
+        _certify(label, g, f, s)
     if args.plus:
+        f = ps_plus(f)
         header_params.append("plus")
-    save_tt(f, args.out, header=(f"m={args.m} family={Q.kind} "
+        if not args.no_certify:
+            np.negative(s, out=s)  # the complement's spectrum
+    save_tt(f, args.out, header=(f"m={args.m} family={family['family']} "
                                  f"params={','.join(header_params)}"))
-    pairs = {"command": "bent build", **_family_pairs(Q), "g": g_echo,
+    pairs = {"command": "bent build", **family, "g": g_echo,
              "out": args.out, "plus": args.plus, "n": f.n,
              "weight": f.weight(), "degree": degree(f),
              "certified": not args.no_certify}

@@ -122,17 +122,22 @@ def ps_minus(Q: PreQuasifield, g: Selector, certify: bool = True) -> TruthTable:
     bits = g.table[D.ravel()]  # row-major: position (y << m) | x
     tt = TruthTable(2 * m, bits)
     if certify:
-        _certify(Q, g, tt)
+        _certify(_label(Q), g, tt)
     return tt
 
 
-def _certify(Q: PreQuasifield, g: Selector, tt: TruthTable, spectrum=None):
-    """Raise CertificationError unless tt, built by ps_minus(Q, g), is bent
-    (from its Walsh spectrum, computed here unless given)."""
+def _label(Q: PreQuasifield) -> str:
+    """The family instance as a certification failure names it."""
+    return f"{Q.kind} (m={Q.ctx.m}, {Q.params})"
+
+
+def _certify(label: str, g: Selector, tt: TruthTable, spectrum=None):
+    """Raise CertificationError unless tt, built by ps_minus(Q, g) with
+    label = _label(Q), is bent (from its Walsh spectrum, computed here
+    unless given)."""
     if not is_bent(tt, spectrum):
         raise CertificationError(
-            f"{Q.kind} (m={Q.ctx.m}, {Q.params}): construction is not bent "
-            f"with support {g.support}")
+            f"{label}: construction is not bent with support {g.support}")
 
 
 def ps_from_components(S: Spread, slopes) -> TruthTable:

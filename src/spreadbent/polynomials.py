@@ -5,20 +5,11 @@ field, stored by its coefficient list [c_0 .. c_(m-1)].  Inversion comes in
 two independent flavours: a generic matrix oracle (binary Gaussian
 elimination, then interpolation back to linearized coefficients), and closed
 forms for the parametric maps that the pre-quasifield division formulas are
-built from.  Each closed form is checked against the oracle at the point of
-construction; on disagreement construction fails loudly — the oracle, not
-the closed form, is the ground truth.
-
-Two of the closed forms come with deliberately ambiguous transcriptions, so
-both carry an explicit resolution surface:
-
-* the combination polynomial behind quad_trace_inverse has two candidate
-  endpoint conventions for its first coefficient's exponent list
-  (READING_SHORT / READING_FULL); resolve_combo_reading reports which one
-  matches the matrix oracle,
-* the inverse of square_trace_map has two knobs (the middle power-sum
-  exponents and the trace-coefficient sum); resolve_square_trace_variants
-  sweeps all combinations against composition with the forward map.
+built from.  Each closed form is checked against the oracle: the
+combination-polynomial inverse at the point of construction (on
+disagreement construction fails loudly — the oracle, not the closed form,
+is the ground truth), the square-plus-trace inverse by the tests, which
+compose it with its forward map.
 
 Dickson polynomials D_k are evaluated through the root-power identity
 D_k(t + 1/t) = t^k + t^(-k) with t in GF(2^(2m)); the three-term recurrence
@@ -63,13 +54,7 @@ class LinearizedMap:
         return f"LinearizedMap({self.ctx!r}, {self.coeffs})"
 
     def __call__(self, z: int) -> int:
-        ctx = self.ctx
-        out, s = 0, z
-        for c in self.coeffs:
-            if c:
-                out ^= ctx.mul(c, s)
-            s = ctx.mul(s, s)
-        return out
+        return eval_linearized(self.ctx, self.coeffs, z)
 
     def matrix(self) -> list[int]:
         """Column-bit-vector form: matrix()[j] is the image of the basis
@@ -228,33 +213,22 @@ def dickson_coeff_bits(k: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # closed-form inverse of z -> a z + a^2 z^2 + tr(z)   (odd m, tr(1/a) = 1)
 
-READING_SHORT = "short"  # first coefficient sums odd Frobenius indices <= m-3
-READING_FULL = "full"    # ... <= m-2
-COMBO_READINGS = (READING_FULL, READING_SHORT)
-
-
-def combo_coeffs(ctx: FieldCtx, r: int, reading: str = READING_FULL) -> list[int]:
+def combo_coeffs(ctx: FieldCtx, r) -> list[int]:
     """Coefficients [c_0 .. c_(m-1)] of the combination polynomial driven by
     Frobenius powers of the parameter r.
 
-    c_0 sums r^(2^j) over odd j up to the reading's endpoint; for odd i > 0
-    the list is odd j < i then even j in (i, m-1], plus the constant 1; for
-    even i > 0 it is even j < i then odd j in (i, m-2].
+    c_0 sums r^(2^j) over odd j <= m-2; for odd i > 0 the list is odd j < i
+    then even j in (i, m-1], plus the constant 1; for even i > 0 it is even
+    j < i then odd j in (i, m-2].
 
     r may also be a numpy array of parameters; each coefficient is then the
     array of that coefficient over r.
     """
-    if reading not in COMBO_READINGS:
-        raise ValueError(f"unknown reading {reading!r}")
     m = ctx.m
     if isinstance(r, np.ndarray):
         frob = list(ctx.frob[:, r])
     else:
-        frob = []
-        s = r
-        for _ in range(m):
-            frob.append(s)
-            s = ctx.mul(s, s)
+        frob = [ctx.pow(r, 1 << j) for j in range(m)]
 
     def fsum(idxs):
         out = 0
@@ -262,8 +236,7 @@ def combo_coeffs(ctx: FieldCtx, r: int, reading: str = READING_FULL) -> list[int
             out ^= frob[j]
         return out
 
-    c0_stop = (m - 2 if reading == READING_SHORT else m - 1)
-    coeffs = [fsum(range(1, c0_stop, 2))]
+    coeffs = [fsum(range(1, m - 1, 2))]
     for i in range(1, m):
         if i % 2:
             coeffs.append(1 ^ fsum(range(1, i - 1, 2)) ^ fsum(range(i + 1, m, 2)))
@@ -280,130 +253,30 @@ def quad_trace_map(ctx: FieldCtx, a: int) -> LinearizedMap:
     return LinearizedMap(ctx, coeffs)
 
 
-class QuadTraceInverse:
-    """Oracle-validated closed-form inverse of quad_trace_map(ctx, a).
-
-    eval(z) computes r*C(z) + r*tr(r z) with r = 1/a and C the combination
-    polynomial under the reading recorded in .reading; .linear is the same
-    map folded into a single LinearizedMap (coefficients equal, by
-    construction, to those of the matrix oracle's inverse).
-    """
-
-    __slots__ = ("ctx", "a", "r", "reading", "combo", "linear")
-
-    def __init__(self, ctx, a, r, reading, combo, linear):
-        self.ctx = ctx
-        self.a = a
-        self.r = r
-        self.reading = reading
-        self.combo = combo
-        self.linear = linear
-
-    def eval(self, z: int) -> int:
-        ctx = self.ctx
-        r = self.r
-        return ctx.mul(r, eval_linearized(ctx, self.combo, z)
-                       ^ ctx.trace(ctx.mul(r, z)))
-
-    __call__ = eval
-
-
-def _combo_full_coeffs(ctx, r, reading):
-    combo = combo_coeffs(ctx, r, reading)
-    return combo, [ctx.mul(r, c ^ ctx.pow(r, 1 << i)) for i, c in enumerate(combo)]
-
-
-def quad_trace_inverse(ctx: FieldCtx, a: int,
-                       reading: str | None = None) -> QuadTraceInverse:
+def quad_trace_inverse(ctx: FieldCtx, a: int) -> LinearizedMap:
     """Closed-form inverse of z -> a z + a^2 z^2 + tr(z), validated against
-    the matrix oracle at construction.
+    the matrix oracle at construction: r C(z) + r tr(r z) with r = 1/a and
+    C the combination polynomial, folded into one LinearizedMap.
 
     Requires odd m, a != 0 and tr(1/a) = 1 (the map is a permutation exactly
-    then).  When no reading is forced, both endpoint conventions are tried
-    and the matching one is recorded; FormulaMismatchError if neither fits.
+    then).  FormulaMismatchError if the closed form misses the oracle.
     """
     if ctx.m % 2 == 0:
         raise ValueError("m must be odd")
     r = ctx.inv(a)
     if a == 0 or ctx.trace(r) != 1:
         raise ValueError("need a != 0 with tr(1/a) = 1")
-    oracle = invert_linearized(quad_trace_map(ctx, a)).coeffs
-    for rd in ([reading] if reading else COMBO_READINGS):
-        combo, full = _combo_full_coeffs(ctx, r, rd)
-        if full == oracle:
-            return QuadTraceInverse(ctx, a, r, rd, combo,
-                                    LinearizedMap(ctx, full))
-    raise FormulaMismatchError(
-        f"no combination reading matches the matrix inverse "
-        f"(m={ctx.m}, a=0x{a:x}, tried {reading or list(COMBO_READINGS)})")
-
-
-def resolve_combo_reading(ctx: FieldCtx) -> dict:
-    """Sweep every valid parameter a and report, per reading, how many match
-    the matrix oracle.  The expected outcome is that exactly one reading
-    matches for all valid a."""
-    matches = {rd: 0 for rd in COMBO_READINGS}
-    total = 0
-    for a in range(1, ctx.order):
-        r = ctx.inv(a)
-        if ctx.trace(r) != 1:
-            continue
-        total += 1
-        oracle = invert_linearized(quad_trace_map(ctx, a)).coeffs
-        for rd in COMBO_READINGS:
-            if _combo_full_coeffs(ctx, r, rd)[1] == oracle:
-                matches[rd] += 1
-    return {"m": ctx.m, "valid_a": total, "matches": matches}
-
-
-# ---------------------------------------------------------------------------
-# closed-form inverse of z -> a z + a^2 tr(1/a) z^2 + tr(z)
-# (combined two-case form; the z^2 term switches on tr(1/a))
-
-def cond_quad_trace_map(ctx: FieldCtx, a: int) -> LinearizedMap:
-    """The map z -> a z + a^2 tr(1/a) z^2 + tr(z)."""
-    coeffs = [1] * ctx.m
-    coeffs[0] ^= a
-    if ctx.trace(ctx.inv(a)):
-        coeffs[1] ^= ctx.sqr(a)
-    return LinearizedMap(ctx, coeffs)
-
-
-def cond_quad_trace_inverse_eval(ctx: FieldCtx, a: int, z: int,
-                                 reading: str = READING_FULL) -> int:
-    """Evaluate the combined closed-form inverse of cond_quad_trace_map:
-
-        (1 + tr(1/a)) z/a + (1/a) tr(z/a) + (1/a) tr(1/a) C(z)
-
-    Total in a: for a = 0 it returns 0.
-    """
-    r = ctx.inv(a)
-    t = ctx.trace(r)
-    zr = ctx.mul(z, r)
-    out = zr if t == 0 else 0
-    out ^= ctx.mul(r, ctx.trace(zr))
-    if t == 1:
-        out ^= ctx.mul(r, eval_linearized(ctx, combo_coeffs(ctx, r, reading), z))
-    return out
+    full = [ctx.mul(r, c ^ ctx.pow(r, 1 << i))
+            for i, c in enumerate(combo_coeffs(ctx, r))]
+    if full != invert_linearized(quad_trace_map(ctx, a)).coeffs:
+        raise FormulaMismatchError(
+            f"the combination polynomial misses the matrix inverse "
+            f"(m={ctx.m}, a=0x{a:x})")
+    return LinearizedMap(ctx, full)
 
 
 # ---------------------------------------------------------------------------
 # closed-form inverse of z -> a z^2 + tr(a z) + tr(a) z
-
-MIDDLE_POW2 = "pow2"           # middle power-sum exponents 2^(2i)
-MIDDLE_POW2_MINUS1 = "pow2-1"  # ... 2^(2i) - 1
-TRACE_SHORT = "short"          # trace coefficient sums a^(2^(2i)), i <= (m-3)/2
-TRACE_SHORT_PLUS1 = "short+1"  # ... plus the constant 1
-TRACE_LONG = "long"            # i <= (m-1)/2
-TRACE_LONG_PLUS1 = "long+1"
-
-MIDDLE_VARIANTS = (MIDDLE_POW2, MIDDLE_POW2_MINUS1)
-TRACE_VARIANTS = (TRACE_SHORT, TRACE_SHORT_PLUS1, TRACE_LONG, TRACE_LONG_PLUS1)
-
-# the variant that survives resolve_square_trace_variants for every odd m
-RESOLVED_MIDDLE = MIDDLE_POW2
-RESOLVED_TRACE = TRACE_SHORT_PLUS1
-
 
 def square_trace_map(ctx: FieldCtx, a: int) -> LinearizedMap:
     """The map z -> a z^2 + tr(a z) + tr(a) z."""
@@ -413,23 +286,18 @@ def square_trace_map(ctx: FieldCtx, a: int) -> LinearizedMap:
     return LinearizedMap(ctx, coeffs)
 
 
-def square_trace_inverse_eval(ctx: FieldCtx, a: int, z: int,
-                              middle: str = RESOLVED_MIDDLE,
-                              trace_sum: str = RESOLVED_TRACE) -> int:
+def square_trace_inverse_eval(ctx: FieldCtx, a: int, z: int) -> int:
     """Evaluate the combined closed-form inverse of square_trace_map:
 
-        (tr(a)/a) [ (az)^(2^(m-1)) + sum_i (az)^E(i) + T(a) tr(az) ]
+        (tr(a)/a) [ (az)^(2^(m-1)) + sum_i (az)^(4^i) + T(a) tr(az) ]
         + a^(2^(m-1)-1) z^(2^(m-1)) + a^(2^(m-1)-1) tr(az)
 
-    where the middle sum runs i = 0 .. (m-1)/2 with E(i) per `middle`, and
-    T(a) is the trace-coefficient sum per `trace_sum`.  Odd m.  Total in
-    both arguments (returns 0 for a = 0 or z = 0 under the resolved
-    variant).
+    where the middle sum runs i = 0 .. (m-1)/2 and
+    T(a) = 1 + sum_(i <= (m-3)/2) a^(4^i).  Odd m.  Total in both
+    arguments (returns 0 for a = 0 or z = 0).
     """
     if ctx.m % 2 == 0:
         raise ValueError("m must be odd")
-    if middle not in MIDDLE_VARIANTS or trace_sum not in TRACE_VARIANTS:
-        raise ValueError(f"unknown variant ({middle!r}, {trace_sum!r})")
     m = ctx.m
     h = 1 << (m - 1)
     az = ctx.mul(a, z)
@@ -438,37 +306,11 @@ def square_trace_inverse_eval(ctx: FieldCtx, a: int, z: int,
     if ctx.trace(a):
         br = ctx.pow(az, h)
         for i in range((m - 1) // 2 + 1):
-            e = 1 << (2 * i)
-            if middle == MIDDLE_POW2_MINUS1:
-                e -= 1
-            br ^= ctx.pow(az, e)
+            br ^= ctx.pow(az, 1 << (2 * i))
         if t_az:
-            stop = (m - 3) // 2 if trace_sum.startswith("short") else (m - 1) // 2
-            s = 0
-            for i in range(stop + 1):
+            s = 1
+            for i in range((m - 3) // 2 + 1):
                 s ^= ctx.pow(a, 1 << (2 * i))
-            if trace_sum.endswith("+1"):
-                s ^= 1
             br ^= s
         out ^= ctx.mul(ctx.inv(a), br)
     return out
-
-
-def resolve_square_trace_variants(ctx: FieldCtx) -> dict:
-    """Compose every (middle, trace_sum) variant with the forward map over
-    all a != 0 and all z, and report which variants are exact inverses."""
-    results = {}
-    for middle in MIDDLE_VARIANTS:
-        for trace_sum in TRACE_VARIANTS:
-            ok = True
-            for a in range(1, ctx.order):
-                L = square_trace_map(ctx, a)
-                for z in range(ctx.order):
-                    if square_trace_inverse_eval(ctx, a, L(z), middle,
-                                                 trace_sum) != z:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            results[(middle, trace_sum)] = ok
-    return {"m": ctx.m, "exact": results}

@@ -8,11 +8,15 @@ division solves the LEFT operand: qdiv(y, x) is the unique a with
 a <> x = y (and 0 when x = 0).  That operand is the slope of the spread
 component through (x, y), which is why it comes first.
 
-Division is available through two independent routes:
+Each family writes its multiplication once, as _mul over field elements
+or broadcast arrays of them; qmul, mult_table and the oracles all run on
+it.  Division is available through two independent routes:
 
-* qdiv_formula — the closed-form expression for each family, built on the
-  inverse machinery in `polynomials` (Dickson exponents, combination
-  polynomials, the square-plus-trace inverse),
+* qdiv_formula — the closed form for each family.  Its terms in one
+  element (Dickson values, combination coefficients, Frobenius powers,
+  ...) are q-entry tables (_closed_form), so one quotient is a few
+  gathers and div_table_formula assembles the whole table from the same
+  tables a row block at a time,
 * qdiv_oracle — brute-force scan over all 2^m candidates, plus a vectorized
   whole-table variant that inverts each column of the multiplication table.
 
@@ -29,17 +33,12 @@ pre-semifields (field, Knuth, Kantor) from Dempwolff-Muller, which fails it.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .field import FieldCtx, field_ctx
-from .polynomials import (
-    combo_coeffs,
-    dickson_eval,
-    dickson_inverse_exponent,
-    eval_linearized,
-    square_trace_inverse_eval,
-)
+from .field import FieldCtx, _frozen, field_ctx
+from .polynomials import combo_coeffs, dickson_eval, dickson_inverse_exponent
 
 STRICT_MAX_M = 7
 AXIOM_MAX_M = 8
@@ -97,7 +96,9 @@ class AxiomReport:
 
 
 class PreQuasifield:
-    """Shared interface: scalar ops, cached tables, strict construction."""
+    """Shared interface: scalar ops, cached tables, strict construction.
+
+    A family supplies _mul, qdiv_formula and _div_table_impl."""
 
     kind = "?"
 
@@ -117,10 +118,15 @@ class PreQuasifield:
     def params(self) -> dict:
         return {}
 
+    def _mul(self, A, X):
+        """a <> x elementwise over int32 elements or broadcastable int32
+        arrays of them."""
+        raise NotImplementedError
+
     # -- scalar operations ---------------------------------------------------
 
     def qmul(self, a: int, x: int) -> int:
-        raise NotImplementedError
+        return int(self._mul(np.int32(a), np.int32(x)))
 
     def qdiv_formula(self, y: int, x: int) -> int:
         raise NotImplementedError
@@ -129,41 +135,33 @@ class PreQuasifield:
         """Exhaustive scan for the unique a with a <> x = y; 0 when x = 0."""
         if x == 0:
             return 0
-        sols = [a for a in range(self.ctx.order) if self.qmul(a, x) == y]
+        column = self._mul(np.arange(self.ctx.order, dtype=np.int32),
+                           np.int32(x))
+        sols = np.flatnonzero(column == y)
         if len(sols) != 1:
             raise ConsistencyError(
                 f"{self.kind}: {len(sols)} solutions of a <> {x:#x} = {y:#x}")
-        return sols[0]
-
-    def parametric_map(self, x: int):
-        """The map a -> a <> x with the right operand fixed, as a callable.
-
-        A permutation of the field for x != 0, identically zero for x = 0.
-        """
-        return lambda a: self.qmul(a, x)
+        return int(sols[0])
 
     # -- whole tables ----------------------------------------------------------
 
     def mult_table(self) -> np.ndarray:
         """T[a, x] = a <> x, shape (2^m, 2^m), int32."""
         if self._mult_table is None:
-            T = self._mult_table_impl()
-            T.setflags(write=False)
-            self._mult_table = T
+            e = np.arange(self.ctx.order, dtype=np.int32)
+            self._mult_table = _frozen(self._mul(e[:, None], e[None, :]))
         return self._mult_table
 
     def div_table_formula(self) -> np.ndarray:
         """D[y, x] = closed-form division, same layout as mult_table."""
         if self._div_table is None:
-            D = self._div_table_impl()
-            D.setflags(write=False)
-            self._div_table = D
+            self._div_table = _frozen(self._div_table_impl())
         return self._div_table
 
     def div_table_oracle(self) -> np.ndarray:
         """D[y, x] from inverting each column of the multiplication table.
 
-        Independent of the closed forms: only qmul feeds it.  Raises
+        Independent of the closed forms: only _mul feeds it.  Raises
         ConsistencyError if any column fails to be a permutation.
         """
         T = self.mult_table()
@@ -180,17 +178,8 @@ class PreQuasifield:
         D[body, cols] = np.arange(q, dtype=np.int32)[:, None]
         return D
 
-    # -- implementation hooks ---------------------------------------------------
-
-    def _mult_table_impl(self) -> np.ndarray:
-        q = self.ctx.order
-        return np.array([[self.qmul(a, x) for x in range(q)]
-                         for a in range(q)], dtype=np.int32)
-
     def _div_table_impl(self) -> np.ndarray:
-        q = self.ctx.order
-        return np.array([[self.qdiv_formula(y, x) for x in range(q)]
-                         for y in range(q)], dtype=np.int32)
+        raise NotImplementedError
 
     def _strict_sweep(self):
         if not np.array_equal(self.div_table_formula(), self.div_table_oracle()):
@@ -218,28 +207,32 @@ def _gather(table, idx, out):
     return np.take(table, idx, out=out, mode="clip")
 
 
+def _frozen_tables(*tables):
+    return tuple(_frozen(t) for t in tables)
+
+
 class FieldFamily(PreQuasifield):
     """The field itself: a <> x = a x, division is field division."""
 
     kind = "field"
 
-    def qmul(self, a, x):
-        return self.ctx.mul(a, x)
+    def _mul(self, A, X):
+        return self.ctx.vmul(A, X)
+
+    @cached_property
+    def _closed_form(self):
+        """log(1/x), zero-sentinel."""
+        return _frozen(self.ctx.zlog[self.ctx.vinv(np.arange(self.ctx.order))])
 
     def qdiv_formula(self, y, x):
-        return self.ctx.mul(y, self.ctx.inv(x))
-
-    def _mult_table_impl(self):
-        q = self.ctx.order
-        e = np.arange(q)
-        return self.ctx.vmul(e[:, None], e[None, :])
+        ctx = self.ctx
+        return int(ctx.zexp[ctx.zlog[y] + self._closed_form[x]])
 
     def _div_table_impl(self):
-        ctx = self.ctx
-        ly, lxi = ctx.zlog, ctx.zlog[ctx.vinv(np.arange(ctx.order))]
+        ctx, lxi = self.ctx, self._closed_form
 
         def fill(ys, out, idx):
-            np.add(ly[ys, None], lxi, out=idx)
+            np.add(ctx.zlog[ys, None], lxi, out=idx)
             _gather(ctx.zexp, idx, out)
 
         return _blocked_table(ctx.order, fill, np.intp)
@@ -272,45 +265,40 @@ class DempwolffMullerFamily(PreQuasifield):
     def params(self):
         return {"k": self.k, "e": self.e, "d": self.d}
 
-    def _L(self, w):
-        out, s = 0, w
-        for _ in range(self.k):
-            out ^= s
-            s = self.ctx.sqr(s)
-        return out
+    @cached_property
+    def _pow_e(self):
+        """a^e for every a."""
+        return _frozen(self.ctx.vpow(np.arange(self.ctx.order), self.e))
 
-    def qmul(self, a, x):
+    def _mul(self, A, X):
         ctx = self.ctx
-        return ctx.mul(ctx.pow(a, self.e), self._L(ctx.mul(a, x)))
+        AX = ctx.vmul(A, X)
+        L = AX
+        for j in range(1, self.k):
+            L = L ^ ctx.frob[j][AX]
+        return ctx.vmul(self._pow_e[A], L)
+
+    @cached_property
+    def _closed_form(self):
+        """Logs of y^2, 1/x^(2^k + 1), 1/D_d(arg) (indexed by arg) and 1/x,
+        and exp as intp, for y // x = (1/x) (1/D_d(arg)) with
+        arg = y^2 / x^(2^k + 1)."""
+        ctx = self.ctx
+        zlog, e = ctx.zlog, np.arange(ctx.order)
+        return _frozen_tables(
+            zlog[ctx.frob[1]],
+            zlog[ctx.vinv(ctx.vpow(e, (1 << self.k) + 1))],
+            zlog[ctx.vinv(dickson_eval(ctx, self.d, e))],
+            zlog[ctx.vinv(e)],
+            ctx.zexp.astype(np.intp))
 
     def qdiv_formula(self, y, x):
-        ctx = self.ctx
-        if x == 0:
-            return 0
-        arg = ctx.mul(ctx.sqr(y), ctx.inv(ctx.pow(x, (1 << self.k) + 1)))
-        return ctx.inv(ctx.mul(x, dickson_eval(ctx, self.d, arg)))
-
-    def _mult_table_impl(self):
-        ctx = self.ctx
-        e = np.arange(ctx.order)
-        AX = ctx.vmul(e[:, None], e[None, :])
-        L = np.zeros_like(AX)
-        S = AX
-        for _ in range(self.k):
-            L ^= S
-            S = ctx.vsqr(S)
-        return ctx.vmul(ctx.vpow(e, self.e)[:, None], L)
+        l_y2, l_xp, l_dinv, l_xinv, zexp = self._closed_form
+        return int(zexp[l_dinv[zexp[l_y2[y] + l_xp[x]]] + l_xinv[x]])
 
     def _div_table_impl(self):
-        # y // x = (1/x) (1/D_d(arg)), arg = y^2 / x^(2^k + 1), as log sums
         ctx = self.ctx
-        q = ctx.order
-        zlog, zexp = ctx.zlog, ctx.zexp.astype(np.intp)
-        e = np.arange(q)
-        l_dinv = zlog[ctx.vinv(dickson_eval(ctx, self.d, e))]  # of arg
-        l_y2 = zlog[ctx.frob[1]]
-        l_xp = zlog[ctx.vinv(ctx.vpow(e, (1 << self.k) + 1))]
-        l_xinv = zlog[ctx.vinv(e)]
+        l_y2, l_xp, l_dinv, l_xinv, zexp = self._closed_form
 
         def fill(ys, out, idx, arg):
             np.add(l_y2[ys, None], l_xp, out=idx)
@@ -319,7 +307,7 @@ class DempwolffMullerFamily(PreQuasifield):
             idx += l_xinv
             _gather(ctx.zexp, idx, out)
 
-        return _blocked_table(q, fill, np.intp, np.intp)
+        return _blocked_table(ctx.order, fill, np.intp, np.intp)
 
 
 class KnuthFamily(PreQuasifield):
@@ -348,45 +336,22 @@ class KnuthFamily(PreQuasifield):
     def params(self):
         return {"beta": self.beta}
 
-    def qmul(self, a, x):
+    def _mul(self, A, X):
         ctx = self.ctx
-        out = ctx.mul(a, x)
-        if ctx.trace(ctx.mul(self.beta, x)):
-            out ^= ctx.sqr(a)
-        if ctx.trace(ctx.mul(self.beta, a)):
-            out ^= ctx.sqr(x)
-        return out
+        return (ctx.vmul(A, X)
+                ^ ctx.vsqr(A) * ctx.vtrace(ctx.vmul(self.beta, X))
+                ^ ctx.vsqr(X) * ctx.vtrace(ctx.vmul(self.beta, A)))
 
-    def qdiv_formula(self, y, x):
-        ctx = self.ctx
-        if x == 0:
-            return 0
-        bx = ctx.mul(self.beta, x)
-        yx = ctx.mul(y, ctx.inv(x))
-        out = yx if ctx.trace(bx) == 0 else 0
-        if ctx.trace(ctx.mul(self.beta, yx)):
-            out ^= x
-        if ctx.trace(bx):
-            yx2 = ctx.mul(yx, ctx.inv(x))
-            out ^= ctx.mul(x, eval_linearized(ctx, combo_coeffs(ctx, bx), yx2))
-        return out
+    @cached_property
+    def _closed_form(self):
+        """Logs of y^(2^i) and of c_i(x), each of shape (m, q).
 
-    def _mult_table_impl(self):
-        ctx = self.ctx
-        e = np.arange(ctx.order)
-        tb = ctx.vtrace(ctx.vmul(self.beta, e))
-        sq = ctx.vsqr(e)
-        T = ctx.vmul(e[:, None], e[None, :])
-        T ^= sq[:, None] * tb[None, :]
-        T ^= sq[None, :] * tb[:, None]
-        return T
-
-    def _div_table_impl(self):
-        # For fixed x every term of the division formula is F2-linear in y:
-        # tr(beta y/x) = sum_i (beta/x)^(2^i) y^(2^i), and C(y/x^2) is a
-        # linearized polynomial.  So y // x = sum_i c_i(x) y^(2^i), with
-        #   c_i(x) = x (beta/x)^(2^i) + tr(beta x) x C_i(beta x) / x^(2^(i+1))
-        #            (+ 1/x for i = 0 when tr(beta x) = 0).
+        For fixed x every term of the division formula is F2-linear in y:
+        tr(beta y/x) = sum_i (beta/x)^(2^i) y^(2^i), and C(y/x^2) is a
+        linearized polynomial.  So y // x = sum_i c_i(x) y^(2^i), with
+          c_i(x) = x (beta/x)^(2^i) + tr(beta x) x C_i(beta x) / x^(2^(i+1))
+                   (+ 1/x for i = 0 when tr(beta x) = 0).
+        """
         ctx = self.ctx
         q, m = ctx.order, ctx.m
         frob, zlog = ctx.frob, ctx.zlog
@@ -402,16 +367,25 @@ class KnuthFamily(PreQuasifield):
                                frob[(i + 1) % m][xinv])
             coef[i] = c_trace ^ c_combo
         coef[0] ^= xinv * ~tbx
-        l_coef, l_frob = zlog[coef], zlog[frob]
+        return _frozen_tables(zlog[frob], zlog[coef])
+
+    def qdiv_formula(self, y, x):
+        l_frob, l_coef = self._closed_form
+        terms = self.ctx.zexp[l_frob[:, y] + l_coef[:, x]]
+        return int(np.bitwise_xor.reduce(terms))
+
+    def _div_table_impl(self):
+        ctx = self.ctx
+        l_frob, l_coef = self._closed_form
 
         def fill(ys, out, idx, term):
-            for i in range(m):
+            for i in range(ctx.m):
                 np.add(l_frob[i, ys, None], l_coef[i], out=idx)
                 _gather(ctx.zexp, idx, term if i else out)
                 if i:
                     out ^= term
 
-        return _blocked_table(q, fill, np.intp, np.int32)
+        return _blocked_table(ctx.order, fill, np.intp, np.int32)
 
 
 class KantorFamily(PreQuasifield):
@@ -429,33 +403,24 @@ class KantorFamily(PreQuasifield):
             raise ValueError(f"need odd m; got m={ctx.m}")
         super().__init__(ctx, strict)
 
-    def qmul(self, a, x):
+    def _mul(self, A, X):
         ctx = self.ctx
-        out = ctx.mul(ctx.sqr(a), x) ^ ctx.trace(ctx.mul(a, x))
-        if ctx.trace(x):
-            out ^= a
-        return out
+        return (ctx.vmul(ctx.vsqr(A), X) ^ ctx.vtrace(ctx.vmul(A, X))
+                ^ A * ctx.vtrace(X))
 
-    def qdiv_formula(self, y, x):
-        return square_trace_inverse_eval(self.ctx, x, y)
+    @cached_property
+    def _closed_form(self):
+        """exp as intp, logs of br(v), y^h, p(x) and c(x), the trace mask of
+        v and w(x), for
 
-    def _mult_table_impl(self):
-        ctx = self.ctx
-        e = np.arange(ctx.order)
-        T = ctx.vmul(ctx.vsqr(e)[:, None], e[None, :])
-        T ^= ctx.vtrace(ctx.vmul(e[:, None], e[None, :]))
-        T ^= e[:, None] * ctx.vtrace(e)[None, :]
-        return T
-
-    def _div_table_impl(self):
-        # y // x = p(x) (y^h + t) + c(x) (br(xy) + t s(x)) with t = tr(xy),
-        # h = 2^(m-1), p(x) = x^(h-1), c(x) = tr(x)/x, br(v) = v^h +
-        # sum_i v^(4^i) and s(x) = 1 + sum_i x^(4^i); the products become
-        # log sums and the t terms one masked XOR of p(x) + c(x) s(x).
+        y // x = p(x) (y^h + t) + c(x) (br(xy) + t s(x)) with t = tr(xy),
+        h = 2^(m-1), p(x) = x^(h-1), c(x) = tr(x)/x, br(v) = v^h +
+        sum_i v^(4^i) and s(x) = 1 + sum_i x^(4^i); the products are log
+        sums and the t terms one masked XOR of w(x) = p(x) + c(x) s(x).
+        """
         ctx = self.ctx
         q, m = ctx.order, ctx.m
         frob, zlog = ctx.frob, ctx.zlog
-        zexp = ctx.zexp.astype(np.intp)
         br = frob[m - 1].copy()
         for i in range((m - 1) // 2 + 1):
             br ^= frob[2 * i]
@@ -465,10 +430,21 @@ class KantorFamily(PreQuasifield):
         e = np.arange(q)
         p = ctx.vpow(e, (1 << (m - 1)) - 1)
         c = ctx.vinv(e) * ctx.trace_table
-        l_br = zlog[br]
-        l_yh, l_p, l_c = zlog[frob[m - 1]], zlog[p], zlog[c]
         t_mask = -ctx.trace_table.astype(np.intp)  # v -> all ones iff tr(v)
-        w = p ^ ctx.vmul(c, s)
+        return _frozen_tables(ctx.zexp.astype(np.intp), zlog[br],
+                              zlog[frob[m - 1]], zlog[p], zlog[c], t_mask,
+                              p ^ ctx.vmul(c, s))
+
+    def qdiv_formula(self, y, x):
+        zexp, l_br, l_yh, l_p, l_c, t_mask, w = self._closed_form
+        xy = zexp[self.ctx.zlog[y] + self.ctx.zlog[x]]
+        return int(zexp[l_br[xy] + l_c[x]] ^ (t_mask[xy] & w[x])
+                   ^ zexp[l_yh[y] + l_p[x]])
+
+    def _div_table_impl(self):
+        ctx = self.ctx
+        zexp, l_br, l_yh, l_p, l_c, t_mask, w = self._closed_form
+        zlog = ctx.zlog
 
         def fill(ys, out, idx, xy, acc):
             np.add(zlog[ys, None], zlog, out=idx)
@@ -484,7 +460,7 @@ class KantorFamily(PreQuasifield):
             acc ^= xy
             out[:] = acc
 
-        return _blocked_table(q, fill, np.intp, np.intp, np.intp)
+        return _blocked_table(ctx.order, fill, np.intp, np.intp, np.intp)
 
 
 def make_family(name: str, m: int, *, k=None, beta=None, modulus=None,

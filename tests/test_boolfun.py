@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from spreadbent.field import field_ctx
 from spreadbent.boolfun import (
     MAX_N,
     TruthTable,
@@ -16,7 +15,6 @@ from spreadbent.boolfun import (
     mobius_transform,
     save_tt,
     walsh_at,
-    walsh_at_trace,
     walsh_spectrum,
 )
 
@@ -109,20 +107,6 @@ def test_spectrum_matches_direct_sum(n, monkeypatch):
 def test_parseval(n):
     s = walsh_spectrum(random_tt(n, n)).astype(np.int64)
     assert int((s * s).sum()) == 1 << (2 * n)
-
-
-def test_trace_pairing_gives_same_multiset():
-    ctx = field_ctx(3)
-    tt = random_tt(6, 99)
-    direct = sorted(int(v) for v in walsh_spectrum(tt))
-    via_trace = sorted(walsh_at_trace(tt, ctx, u, v)
-                       for u in range(8) for v in range(8))
-    assert direct == via_trace
-
-
-def test_walsh_at_trace_arity_check():
-    with pytest.raises(ValueError):
-        walsh_at_trace(random_tt(5, 0), field_ctx(3), 1, 1)
 
 
 # ---------------------------------------------------------------------------

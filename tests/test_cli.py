@@ -66,6 +66,15 @@ def test_missing_required_flag_is_invalid(capsys):
     assert run(["qf", "verify", "--family", "field"]) == 2
 
 
+@pytest.mark.parametrize("m,swept", [(7, "true"), (8, "skipped")])
+def test_qf_verify_reports_skipped_division_sweep(m, swept, capsys):
+    # the formula-vs-oracle sweep runs up to m = 7; above, nothing is checked
+    assert run(["qf", "verify", "--family", "field", "--m", str(m)]) == 0
+    rep = report(capsys)
+    assert rep["division_consistent"] == swept
+    assert rep["passed"] == "true"
+
+
 def test_axiom_sweep_too_large_is_invalid(capsys):
     assert run(["qf", "verify", "--family", "kantor", "--m", "9"]) == 2
 
@@ -397,6 +406,34 @@ def test_build_runs_one_walsh_transform(tmp_path, monkeypatch, capsys):
         assert run(["bent", "spectrum", "--tt", str(tmp_path / "f.tt"),
                     "--summary"]) == 0
         assert report(capsys)["summary"] == rep["spectrum"]
+
+
+def test_build_releases_the_family_before_the_walsh_transform(
+        tmp_path, monkeypatch, capsys):
+    # the family holds the cached q x q division table: at n = 26 that is
+    # 256 MB that must not stay alive through the Walsh transform
+    import weakref
+
+    import spreadbent.cli as cli
+    family, walsh = cli._family, cli.walsh_spectrum
+    refs, alive = [], []
+
+    def tracked(args):
+        Q = family(args)
+        refs.append(weakref.ref(Q))
+        return Q
+
+    def spectrum(tt):
+        alive.append(refs[0]() is not None)
+        return walsh(tt)
+
+    monkeypatch.setattr(cli, "_family", tracked)
+    monkeypatch.setattr(cli, "walsh_spectrum", spectrum)
+    assert run(["bent", "build", "--family", "knuth", "--m", "5",
+                "--beta", "3", "--g", "random:1",
+                "--out", str(tmp_path / "f.tt")]) == 0
+    assert alive == [False]
+    assert report(capsys)["bent"] == "true"
 
 
 def test_build_certification_failure_exits_one(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,8 @@
 """Tests for the pre-quasifield families: multiplication, two-route
 division, axiom sweeps, and the strict formula-vs-oracle construction gate.
+
+The negative controls override the family hooks: _mul for a broken
+multiplication, qdiv_formula and _div_table_impl for a wrong closed form.
 """
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 
 from spreadbent.field import field_ctx
 from spreadbent.polynomials import (
-    cond_quad_trace_inverse_eval,
+    LinearizedMap,
     invert_linearized,
     square_trace_map,
 )
@@ -16,7 +19,6 @@ from spreadbent.quasifield import (
     ConsistencyError,
     FieldFamily,
     KantorFamily,
-    PreQuasifield,
     make_family,
     verify_axioms,
 )
@@ -202,12 +204,19 @@ def test_mult_table_matches_scalar():
         assert not T.flags.writeable
 
 
+def test_cached_family_tables_are_frozen():
+    # shared by the scalar and the whole-table division of the instance
+    for Q in small_families(5):
+        tables = Q._closed_form
+        for t in tables if isinstance(tables, tuple) else (tables,):
+            assert not t.flags.writeable
+    assert not make_family("dm", 5, k=3)._pow_e.flags.writeable
+
+
 def test_oracle_detects_broken_multiplication():
     class Broken(FieldFamily):
-        _mult_table_impl = PreQuasifield._mult_table_impl  # honour qmul
-
-        def qmul(self, a, x):
-            return 0 if x else 0
+        def _mul(self, A, X):
+            return 0 * self.ctx.vmul(A, X)
 
     Q = Broken(field_ctx(3), strict=False)
     with pytest.raises(ConsistencyError):
@@ -222,9 +231,9 @@ def test_strict_gate_rejects_wrong_formula():
             return super().qdiv_formula(y, x) ^ (1 if x else 0)
 
         def _div_table_impl(self):
-            q = self.ctx.order
-            return np.array([[self.qdiv_formula(y, x) for x in range(q)]
-                             for y in range(q)], dtype=np.int32)
+            D = super()._div_table_impl()
+            D[:, 1:] ^= 1
+            return D
 
     with pytest.raises(ConsistencyError):
         WrongDivision(field_ctx(3))
@@ -236,15 +245,15 @@ def test_strict_gate_rejects_wrong_formula():
 
 
 def test_parametric_map():
+    # a -> a <> x with the right operand fixed: a permutation for x != 0,
+    # identically zero for x = 0, and division inverts it
     Q = make_family("kantor", 5)
     q = Q.ctx.order
-    F0 = Q.parametric_map(0)
-    assert all(F0(a) == 0 for a in range(q))
+    assert all(Q.qmul(a, 0) == 0 for a in range(q))
     for x in (1, 7, 19):
-        Fx = Q.parametric_map(x)
-        assert len({Fx(a) for a in range(q)}) == q
+        assert len({Q.qmul(a, x) for a in range(q)}) == q
         for a in range(q):
-            assert Q.qdiv_formula(Fx(a), x) == a
+            assert Q.qdiv_formula(Q.qmul(a, x), x) == a
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +296,8 @@ def test_axiom_sweep_guard():
 
 def test_axiom_sweep_flags_broken_distributivity():
     class Crooked(FieldFamily):
-        _mult_table_impl = PreQuasifield._mult_table_impl  # honour qmul
-
-        def qmul(self, a, x):
-            v = self.ctx.mul(a, x)
-            return v ^ 1 if (a == 3 and x == 3) else v
+        def _mul(self, A, X):
+            return self.ctx.vmul(A, X) ^ ((A == 3) & (X == 3))
 
     rep = verify_axioms(Crooked(field_ctx(3), strict=False))
     assert not rep.left_distributive
@@ -308,13 +314,16 @@ def test_knuth_division_matches_kernel_composition(m):
     for beta in (1, ctx.generator):
         Q = make_family("knuth", m, beta=beta)
         for x in range(1, ctx.order):
-            c = ctx.inv(ctx.mul(beta, x))
-            x2inv = ctx.inv(ctx.sqr(x))
+            # a -> a <> x = x a + tr(beta x) a^2 + x^2 sum_i beta^(2^i) a^(2^i)
+            x2 = ctx.sqr(x)
+            coeffs = [ctx.mul(x2, ctx.pow(beta, 1 << i)) for i in range(m)]
+            coeffs[0] ^= x
+            coeffs[1] ^= ctx.trace(ctx.mul(beta, x))
+            column = LinearizedMap(ctx, coeffs)
+            assert all(column(a) == Q.qmul(a, x) for a in range(ctx.order))
+            kernel_inv = invert_linearized(column)
             for y in range(ctx.order):
-                via_kernel = ctx.mul(
-                    ctx.inv(beta),
-                    cond_quad_trace_inverse_eval(ctx, c, ctx.mul(y, x2inv)))
-                assert Q.qdiv_formula(y, x) == via_kernel
+                assert Q.qdiv_formula(y, x) == kernel_inv(y)
 
 
 @pytest.mark.parametrize("m", [3, 5])
@@ -329,13 +338,42 @@ def test_kantor_division_matches_kernel_inverse(m):
 
 def test_vectorized_div_tables_match_scalar_m7():
     # one larger sweep to pin the numpy paths against the scalar ones
-    for Q in (make_family("dm", 7, k=3), make_family("knuth", 7, beta=1),
-              make_family("kantor", 7)):
+    for Q in (make_family("field", 7), make_family("dm", 7, k=3),
+              make_family("knuth", 7, beta=1), make_family("kantor", 7)):
         D = Q.div_table_formula()
         q = Q.ctx.order
         for y in (0, 1, 2, 63, 100, q - 1):
             for x in (0, 1, 2, 63, 100, q - 1):
                 assert D[y, x] == Q.qdiv_formula(y, x)
+
+
+M13 = [("field", {}), ("dm", {"k": 5}), ("knuth", {"beta": 0x1234}),
+       ("kantor", {})]
+
+
+@pytest.mark.parametrize("name,params", M13, ids=[n for n, _ in M13])
+def test_div_table_matches_scalar_and_oracle_m13(name, params):
+    # above the strict sweep: seeded pairs, table vs scalar vs oracle
+    Q = make_family(name, 13, **params)
+    D = Q.div_table_formula()
+    rng = np.random.default_rng(13)
+    pairs = rng.integers(0, 1 << 13, size=(64, 2)).tolist()
+    for y, x in pairs + [[0, 5], [5, 0], [0, 0]]:
+        assert D[y, x] == Q.qdiv_formula(y, x) == Q.qdiv_oracle(y, x)
+        assert Q.qmul(Q.qdiv_formula(y, x), x) == (y if x else 0)
+
+
+def test_qmul_matches_mult_table_m11():
+    # elements past 255 exercise the integer promotion of the trace terms
+    rng = np.random.default_rng(11)
+    idx = np.concatenate([[0, 1, 255, 256, 2047], rng.integers(256, 2048, 20)])
+    for Q in (make_family("field", 11), make_family("dm", 11, k=3),
+              make_family("knuth", 11, beta=0x5A5), make_family("kantor", 11)):
+        T = Q.mult_table()
+        assert T.dtype == np.int32
+        for a in idx.tolist():
+            for x in idx.tolist():
+                assert Q.qmul(a, x) == T[a, x]
 
 
 # ---------------------------------------------------------------------------
