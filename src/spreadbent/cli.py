@@ -22,6 +22,7 @@ import time
 
 from . import __version__
 from .boolfun import (
+    MAX_N,
     anf,
     degree,
     is_bent,
@@ -46,8 +47,8 @@ from .polynomials import (
     dickson_inverse_exponent,
     invert_linearized,
 )
-from .quasifield import ConsistencyError, make_family, verify_axioms
-from .spread import build_spread, dump_spread, verify_spread
+from .quasifield import AXIOM_MAX_M, ConsistencyError, make_family, verify_axioms
+from .spread import SPREAD_VERIFY_MAX_M, build_spread, dump_spread, verify_spread
 
 import numpy as np
 
@@ -69,6 +70,12 @@ def _emit(pairs: dict):
         if isinstance(v, bool):
             v = "true" if v else "false"
         print(f"{key}={v}")
+
+
+def _check_m(args, cap: int, what: str):
+    """Refuse --m above a size cap before any table is built."""
+    if args.m > cap:
+        raise ValueError(f"--m {args.m} is above {cap}, the largest m {what}")
 
 
 def _family(args, strict=None):
@@ -103,19 +110,13 @@ def _selector(text: str, m: int):
 
 
 def cmd_qf_verify(args) -> int:
+    _check_m(args, AXIOM_MAX_M, "that the exhaustive axiom sweep covers")
     Q = _family(args)  # strict mode sweeps formula vs oracle for m <= 7
     report = verify_axioms(Q)
-    pairs = {"command": "qf verify", **_family_pairs(Q),
-             "additive_group": report.additive_group,
-             "left_bijective": report.left_bijective,
-             "right_bijective": report.right_bijective,
-             "left_distributive": report.left_distributive,
-             "zero_law": report.zero_law,
-             "right_distributive": report.right_distributive,
+    # the family pairs override the report's own family, m and raw params
+    pairs = {"command": "qf verify", **report.as_dict(), **_family_pairs(Q),
              # the strict sweep ran and passed, or was skipped (m > 7)
-             "division_consistent": True if Q.strict else "skipped",
-             "pre_semifield": report.pre_semifield,
-             "passed": report.passed}
+             "division_consistent": True if Q.strict else "skipped"}
     _emit(pairs)
     return 0 if report.passed else 1
 
@@ -137,6 +138,8 @@ def cmd_qf_divide(args) -> int:
 
 
 def cmd_spread_verify(args) -> int:
+    _check_m(args, SPREAD_VERIFY_MAX_M,
+             "that the exhaustive spread sweep covers")
     Q = _family(args)
     S = build_spread(Q)
     report = verify_spread(S)
@@ -176,6 +179,8 @@ def cmd_poly_invert_linearized(args) -> int:
 
 
 def cmd_bent_build(args) -> int:
+    _check_m(args, MAX_N // 2,
+             f"for a truth table on n = 2m <= {MAX_N} variables")
     Q = _family(args)
     g, g_echo = _selector(args.g, args.m)
     f = ps_minus(Q, g, certify=False)

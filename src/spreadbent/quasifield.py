@@ -12,17 +12,19 @@ Each family writes its multiplication once, as _mul over field elements
 or broadcast arrays of them; qmul, mult_table and the oracles all run on
 it.  Division is available through two independent routes:
 
-* qdiv_formula — the closed form for each family.  Its terms in one
+* qdiv_formula — the closed form for each family, written once over
+  field elements or broadcastable arrays of them.  Its terms in one
   element (Dickson values, combination coefficients, Frobenius powers,
-  ...) are q-entry tables (_closed_form), so one quotient is a few
-  gathers and div_table_formula assembles the whole table from the same
-  tables a row block at a time,
+  ...) are q-entry tables (_closed_form), so a quotient is a few gathers.
+  div_table_formula builds the whole table from it: for the
+  pre-semifields (`linear`) y -> y // x is F2-linear, so the m basis rows
+  y = 2^i determine the rest by XOR; dm's rows come a block at a time,
 * qdiv_oracle — brute-force scan over all 2^m candidates, plus a vectorized
   whole-table variant that inverts each column of the multiplication table.
 
-Families constructed in strict mode (the default for m <= 7) sweep formula
-against oracle over every input pair once, and refuse to exist on any
-mismatch; the oracle is authoritative.
+Families constructed in strict mode (the default for m <= 7) sweep the
+closed form and the table against the oracle over every input pair once,
+and refuse to exist on any mismatch; the oracle is authoritative.
 
 verify_axioms checks the defining laws exhaustively: additive group,
 bijectivity of both one-sided multiplications on nonzero operands, left
@@ -42,9 +44,10 @@ from .polynomials import combo_coeffs, dickson_eval, dickson_inverse_exponent
 
 STRICT_MAX_M = 7
 AXIOM_MAX_M = 8
-# entries per row block of a closed-form division table: each scratch array
-# of a block holds this many intp values (512 KB), so a block stays in cache
-BLOCK_ENTRIES = 1 << 16
+# entries per row block of a non-linear division table: each temporary of a
+# block holds this many intp values (64 KB), small enough for malloc to reuse
+# heap memory (larger blocks page-faulted ~1 GB of fresh memory at m = 13)
+BLOCK_ENTRIES = 1 << 13
 
 FAMILY_NAMES = ("field", "dm", "knuth", "kantor")
 
@@ -98,9 +101,12 @@ class AxiomReport:
 class PreQuasifield:
     """Shared interface: scalar ops, cached tables, strict construction.
 
-    A family supplies _mul, qdiv_formula and _div_table_impl."""
+    A family supplies _mul and qdiv_formula."""
 
     kind = "?"
+    # every column map a -> a <> x is F2-linear (right distributivity), so
+    # y -> y // x is too: the pre-semifields set this
+    linear = False
 
     def __init__(self, ctx: FieldCtx, strict=None):
         self.ctx = ctx
@@ -128,7 +134,9 @@ class PreQuasifield:
     def qmul(self, a: int, x: int) -> int:
         return int(self._mul(np.int32(a), np.int32(x)))
 
-    def qdiv_formula(self, y: int, x: int) -> int:
+    def qdiv_formula(self, y, x):
+        """The closed-form y // x (0 when x = 0), elementwise over field
+        elements or broadcastable arrays of them."""
         raise NotImplementedError
 
     def qdiv_oracle(self, y: int, x: int) -> int:
@@ -179,32 +187,33 @@ class PreQuasifield:
         return D
 
     def _div_table_impl(self) -> np.ndarray:
-        raise NotImplementedError
+        q = self.ctx.order
+        e = np.arange(q)
+        D = np.empty((q, q), dtype=np.int32)
+        if self.linear:
+            # D[y] = D[y & (y - 1)] ^ D[y & -y]: basis rows from the closed
+            # form, then rows h+1 .. 2h-1 as rows 1 .. h-1 XOR row h
+            D[0] = 0
+            for i in range(self.ctx.m):
+                h = 1 << i
+                D[h] = self.qdiv_formula(h, e)
+                np.bitwise_xor(D[1:h], D[h], out=D[h + 1:2 * h])
+        else:
+            rows = max(1, BLOCK_ENTRIES // q)
+            for y0 in range(0, q, rows):
+                D[y0:y0 + rows] = self.qdiv_formula(e[y0:y0 + rows, None], e)
+        return D
 
     def _strict_sweep(self):
-        if not np.array_equal(self.div_table_formula(), self.div_table_oracle()):
+        # the closed form over the whole grid as well as the table: the
+        # linear table reads the closed form at its basis rows only
+        e = np.arange(self.ctx.order)
+        oracle = self.div_table_oracle()
+        if not (np.array_equal(self.qdiv_formula(e[:, None], e), oracle)
+                and np.array_equal(self.div_table_formula(), oracle)):
             raise ConsistencyError(
                 f"{self.kind} (m={self.ctx.m}, {self.params}): closed-form "
                 f"division disagrees with the brute-force oracle")
-
-
-def _blocked_table(q: int, fill, *scratch) -> np.ndarray:
-    """A q x q int32 table built a block of rows at a time.
-
-    fill(ys, out, *bufs) writes rows ys (a slice) into out, using one
-    workspace array of the block's shape per dtype in `scratch`.
-    """
-    rows = min(q, max(1, BLOCK_ENTRIES // q))
-    D = np.empty((q, q), dtype=np.int32)
-    bufs = [np.empty((rows, q), dtype=dt) for dt in scratch]
-    for y0 in range(0, q, rows):
-        fill(slice(y0, y0 + rows), D[y0:y0 + rows], *bufs)
-    return D
-
-
-def _gather(table, idx, out):
-    """out = table[idx] without a temporary; every index is in range."""
-    return np.take(table, idx, out=out, mode="clip")
 
 
 def _frozen_tables(*tables):
@@ -215,6 +224,7 @@ class FieldFamily(PreQuasifield):
     """The field itself: a <> x = a x, division is field division."""
 
     kind = "field"
+    linear = True
 
     def _mul(self, A, X):
         return self.ctx.vmul(A, X)
@@ -226,16 +236,7 @@ class FieldFamily(PreQuasifield):
 
     def qdiv_formula(self, y, x):
         ctx = self.ctx
-        return int(ctx.zexp[ctx.zlog[y] + self._closed_form[x]])
-
-    def _div_table_impl(self):
-        ctx, lxi = self.ctx, self._closed_form
-
-        def fill(ys, out, idx):
-            np.add(ctx.zlog[ys, None], lxi, out=idx)
-            _gather(ctx.zexp, idx, out)
-
-        return _blocked_table(ctx.order, fill, np.intp)
+        return ctx.zexp[ctx.zlog[y] + self._closed_form[x]]
 
 
 class DempwolffMullerFamily(PreQuasifield):
@@ -281,33 +282,19 @@ class DempwolffMullerFamily(PreQuasifield):
     @cached_property
     def _closed_form(self):
         """Logs of y^2, 1/x^(2^k + 1), 1/D_d(arg) (indexed by arg) and 1/x,
-        and exp as intp, for y // x = (1/x) (1/D_d(arg)) with
-        arg = y^2 / x^(2^k + 1)."""
+        for y // x = (1/x) (1/D_d(arg)) with arg = y^2 / x^(2^k + 1)."""
         ctx = self.ctx
         zlog, e = ctx.zlog, np.arange(ctx.order)
         return _frozen_tables(
             zlog[ctx.frob[1]],
             zlog[ctx.vinv(ctx.vpow(e, (1 << self.k) + 1))],
             zlog[ctx.vinv(dickson_eval(ctx, self.d, e))],
-            zlog[ctx.vinv(e)],
-            ctx.zexp.astype(np.intp))
+            zlog[ctx.vinv(e)])
 
     def qdiv_formula(self, y, x):
-        l_y2, l_xp, l_dinv, l_xinv, zexp = self._closed_form
-        return int(zexp[l_dinv[zexp[l_y2[y] + l_xp[x]]] + l_xinv[x]])
-
-    def _div_table_impl(self):
-        ctx = self.ctx
-        l_y2, l_xp, l_dinv, l_xinv, zexp = self._closed_form
-
-        def fill(ys, out, idx, arg):
-            np.add(l_y2[ys, None], l_xp, out=idx)
-            _gather(zexp, idx, arg)
-            _gather(l_dinv, arg, idx)
-            idx += l_xinv
-            _gather(ctx.zexp, idx, out)
-
-        return _blocked_table(ctx.order, fill, np.intp, np.intp)
+        l_y2, l_xp, l_dinv, l_xinv = self._closed_form
+        zexp = self.ctx.zexp
+        return zexp[l_dinv[zexp[l_y2[y] + l_xp[x]]] + l_xinv[x]]
 
 
 class KnuthFamily(PreQuasifield):
@@ -322,6 +309,7 @@ class KnuthFamily(PreQuasifield):
     """
 
     kind = "knuth"
+    linear = True
 
     def __init__(self, ctx, beta, strict=None):
         if ctx.m % 2 == 0:
@@ -344,7 +332,7 @@ class KnuthFamily(PreQuasifield):
 
     @cached_property
     def _closed_form(self):
-        """Logs of y^(2^i) and of c_i(x), each of shape (m, q).
+        """Logs of y^(2^i) and of c_i(x), each of shape (q, m).
 
         For fixed x every term of the division formula is F2-linear in y:
         tr(beta y/x) = sum_i (beta/x)^(2^i) y^(2^i), and C(y/x^2) is a
@@ -360,32 +348,19 @@ class KnuthFamily(PreQuasifield):
         bx, b_x = ctx.vmul(self.beta, e), ctx.vmul(self.beta, xinv)
         tbx = ctx.vtrace(bx).astype(bool)
         combo = combo_coeffs(ctx, bx)
-        coef = np.empty((m, q), dtype=np.int32)
+        coef = np.empty((q, m), dtype=np.int32)
         for i in range(m):
             c_trace = ctx.vmul(e, frob[i][b_x])
             c_combo = ctx.vmul(ctx.vmul(e, np.where(tbx, combo[i], 0)),
                                frob[(i + 1) % m][xinv])
-            coef[i] = c_trace ^ c_combo
-        coef[0] ^= xinv * ~tbx
-        return _frozen_tables(zlog[frob], zlog[coef])
+            coef[:, i] = c_trace ^ c_combo
+        coef[:, 0] ^= xinv * ~tbx
+        return _frozen_tables(zlog[frob.T.copy()], zlog[coef])
 
     def qdiv_formula(self, y, x):
         l_frob, l_coef = self._closed_form
-        terms = self.ctx.zexp[l_frob[:, y] + l_coef[:, x]]
-        return int(np.bitwise_xor.reduce(terms))
-
-    def _div_table_impl(self):
-        ctx = self.ctx
-        l_frob, l_coef = self._closed_form
-
-        def fill(ys, out, idx, term):
-            for i in range(ctx.m):
-                np.add(l_frob[i, ys, None], l_coef[i], out=idx)
-                _gather(ctx.zexp, idx, term if i else out)
-                if i:
-                    out ^= term
-
-        return _blocked_table(ctx.order, fill, np.intp, np.int32)
+        terms = self.ctx.zexp[l_frob[y] + l_coef[x]]
+        return np.bitwise_xor.reduce(terms, axis=-1)
 
 
 class KantorFamily(PreQuasifield):
@@ -397,6 +372,7 @@ class KantorFamily(PreQuasifield):
     """
 
     kind = "kantor"
+    linear = True
 
     def __init__(self, ctx, strict=None):
         if ctx.m % 2 == 0:
@@ -410,13 +386,12 @@ class KantorFamily(PreQuasifield):
 
     @cached_property
     def _closed_form(self):
-        """exp as intp, logs of br(v), y^h, p(x) and c(x), the trace mask of
-        v and w(x), for
+        """Logs of br(v), y^h, p(x) and c(x), and w(x), for
 
         y // x = p(x) (y^h + t) + c(x) (br(xy) + t s(x)) with t = tr(xy),
         h = 2^(m-1), p(x) = x^(h-1), c(x) = tr(x)/x, br(v) = v^h +
         sum_i v^(4^i) and s(x) = 1 + sum_i x^(4^i); the products are log
-        sums and the t terms one masked XOR of w(x) = p(x) + c(x) s(x).
+        sums and the t terms one product t w(x), w(x) = p(x) + c(x) s(x).
         """
         ctx = self.ctx
         q, m = ctx.order, ctx.m
@@ -430,37 +405,15 @@ class KantorFamily(PreQuasifield):
         e = np.arange(q)
         p = ctx.vpow(e, (1 << (m - 1)) - 1)
         c = ctx.vinv(e) * ctx.trace_table
-        t_mask = -ctx.trace_table.astype(np.intp)  # v -> all ones iff tr(v)
-        return _frozen_tables(ctx.zexp.astype(np.intp), zlog[br],
-                              zlog[frob[m - 1]], zlog[p], zlog[c], t_mask,
+        return _frozen_tables(zlog[br], zlog[frob[m - 1]], zlog[p], zlog[c],
                               p ^ ctx.vmul(c, s))
 
     def qdiv_formula(self, y, x):
-        zexp, l_br, l_yh, l_p, l_c, t_mask, w = self._closed_form
-        xy = zexp[self.ctx.zlog[y] + self.ctx.zlog[x]]
-        return int(zexp[l_br[xy] + l_c[x]] ^ (t_mask[xy] & w[x])
-                   ^ zexp[l_yh[y] + l_p[x]])
-
-    def _div_table_impl(self):
+        l_br, l_yh, l_p, l_c, w = self._closed_form
         ctx = self.ctx
-        zexp, l_br, l_yh, l_p, l_c, t_mask, w = self._closed_form
-        zlog = ctx.zlog
-
-        def fill(ys, out, idx, xy, acc):
-            np.add(zlog[ys, None], zlog, out=idx)
-            _gather(zexp, idx, xy)
-            _gather(l_br, xy, idx)
-            idx += l_c
-            _gather(zexp, idx, acc)
-            _gather(t_mask, xy, idx)
-            idx &= w
-            acc ^= idx
-            np.add(l_yh[ys, None], l_p, out=idx)
-            _gather(zexp, idx, xy)
-            acc ^= xy
-            out[:] = acc
-
-        return _blocked_table(ctx.order, fill, np.intp, np.intp, np.intp)
+        xy = ctx.zexp[ctx.zlog[y] + ctx.zlog[x]]
+        return (ctx.zexp[l_br[xy] + l_c[x]] ^ ctx.trace_table[xy] * w[x]
+                ^ ctx.zexp[l_yh[y] + l_p[x]])
 
 
 def make_family(name: str, m: int, *, k=None, beta=None, modulus=None,

@@ -97,10 +97,14 @@ def test_criterion_2_division_agrees_with_oracle():
                       "on every pair"):
         for Q in roster():
             q = Q.ctx.order
-            formula = Q.div_table_formula()
+            e = np.arange(q)
             oracle = Q.div_table_oracle()
-            assert formula.shape == oracle.shape == (q, q)
-            assert np.array_equal(formula, oracle), (Q.kind, Q.params)
+            # the closed form itself, and the table built from its basis
+            # rows (pre-semifields) or row blocks (dm)
+            for formula in (Q.qdiv_formula(e[:, None], e),
+                            Q.div_table_formula()):
+                assert formula.shape == oracle.shape == (q, q)
+                assert np.array_equal(formula, oracle), (Q.kind, Q.params)
 
 
 def test_criterion_3_kernel_inverses():

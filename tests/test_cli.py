@@ -340,8 +340,10 @@ def test_python_m_spreadbent(tmp_path):
     assert r.returncode == 2 and "--x" in r.stderr
 
 
-# stdout and .tt sha256 of `bent build ... --out <family>.tt`, pinned from
-# the whole-array implementation that preceded the row-blocked tables
+# stdout and .tt sha256 of `bent build ... --out <key>.tt`, pinned from
+# the whole-array implementation that preceded the row-blocked tables; the
+# m = 11 builds, where no oracle checks the table, from the per-family
+# blocked tables that preceded the basis-row (linear) fill
 GOLDEN_BUILDS = {
     "field": (["--family", "field", "--m", "7", "--g", "random:1"],
               "certified=true\ncommand=bent build\ndegree=7\nfamily=field\n"
@@ -367,17 +369,42 @@ GOLDEN_BUILDS = {
                "out=kantor.tt\nplus=false\nspectrum=-128:8128,128:8256\n"
                "weight=8128\n",
                "17794bf85ef0e1b54808490525fff97fad14e8a08271aee2cecb66d70f507420"),
+    "field-m11": (["--family", "field", "--m", "11", "--g", "random:11"],
+                  "certified=true\ncommand=bent build\ndegree=11\n"
+                  "family=field\ng=random:11\nm=11\nmodulus=0x805\nn=22\n"
+                  "out=field-m11.tt\nplus=false\n"
+                  "spectrum=-2048:2096128,2048:2098176\nweight=2096128\n",
+                  "9d209f07f5f5c43c945c43c06859c0b34cc94b57742d0d67fc24b88f134c2953"),
+    "dm-m11": (["--family", "dm", "--m", "11", "--k", "3", "--g", "random:12"],
+               "certified=true\ncommand=bent build\nd=3595117\ndegree=11\n"
+               "e=1019\nfamily=dm\ng=random:12\nk=3\nm=11\nmodulus=0x805\n"
+               "n=22\nout=dm-m11.tt\nplus=false\n"
+               "spectrum=-2048:2096128,2048:2098176\nweight=2096128\n",
+               "b5acee1c019bb0e3d8d0b26114dda1375a67ca0c33aba0e4ada2e73db53b8b58"),
+    "knuth-m11": (["--family", "knuth", "--m", "11", "--beta", "5a5",
+                   "--g", "random:13", "--plus"],
+                  "beta=0x5a5\ncertified=true\ncommand=bent build\n"
+                  "degree=11\nfamily=knuth\ng=random:13\nm=11\n"
+                  "modulus=0x805\nn=22\nout=knuth-m11.tt\nplus=true\n"
+                  "spectrum=-2048:2098176,2048:2096128\nweight=2098176\n",
+                  "254b1fff6538ec54bb3691d9f433065767e0a6db78591d9f1342cd4ba27418b8"),
+    "kantor-m11": (["--family", "kantor", "--m", "11", "--g", "random:14"],
+                   "certified=true\ncommand=bent build\ndegree=11\n"
+                   "family=kantor\ng=random:14\nm=11\nmodulus=0x805\n"
+                   "n=22\nout=kantor-m11.tt\nplus=false\n"
+                   "spectrum=-2048:2096128,2048:2098176\nweight=2096128\n",
+                   "481d23d9bc946ad391e21f8b183fd70e879d727a2ed7b2765f04118e042c5837"),
 }
 
 
-@pytest.mark.parametrize("family", sorted(GOLDEN_BUILDS))
-def test_build_reproduces_pinned_output(family, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("key", sorted(GOLDEN_BUILDS))
+def test_build_reproduces_pinned_output(key, tmp_path, monkeypatch, capsys):
     import hashlib
-    argv, stdout, sha = GOLDEN_BUILDS[family]
+    argv, stdout, sha = GOLDEN_BUILDS[key]
     monkeypatch.chdir(tmp_path)
-    assert run(["bent", "build", *argv, "--out", f"{family}.tt"]) == 0
+    assert run(["bent", "build", *argv, "--out", f"{key}.tt"]) == 0
     assert capsys.readouterr().out == "bent=true\n" + stdout
-    data = (tmp_path / f"{family}.tt").read_bytes()
+    data = (tmp_path / f"{key}.tt").read_bytes()
     assert hashlib.sha256(data).hexdigest() == sha
 
 
@@ -454,6 +481,30 @@ def test_build_certification_failure_exits_one(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "kantor (m=3, {}): construction is not bent" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["qf", "verify", "--family", "kantor", "--m", "9"],
+    ["spread", "verify", "--family", "field", "--m", "9", "--dump", "s.txt"],
+    ["bent", "build", "--family", "field", "--m", "14", "--g", "random:1",
+     "--out", "f.tt"],
+], ids=["qf-verify", "spread-verify", "bent-build"])
+def test_size_caps_name_m_before_building(argv, tmp_path, monkeypatch,
+                                          capsys):
+    # above a cap the command exits 2 naming --m, and builds nothing: at
+    # m = 14 a family's division table alone would take 1 GB
+    import spreadbent.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built something above the cap")
+
+    for name in ("make_family", "build_spread"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--m {argv[argv.index('--m') + 1]} is above" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_timing_goes_to_stderr(capsys):

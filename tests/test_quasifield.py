@@ -2,7 +2,8 @@
 division, axiom sweeps, and the strict formula-vs-oracle construction gate.
 
 The negative controls override the family hooks: _mul for a broken
-multiplication, qdiv_formula and _div_table_impl for a wrong closed form.
+multiplication, qdiv_formula for a wrong closed form (the division table is
+built from it).
 """
 
 import numpy as np
@@ -228,16 +229,27 @@ def test_oracle_detects_broken_multiplication():
 def test_strict_gate_rejects_wrong_formula():
     class WrongDivision(KantorFamily):
         def qdiv_formula(self, y, x):
-            return super().qdiv_formula(y, x) ^ (1 if x else 0)
-
-        def _div_table_impl(self):
-            D = super()._div_table_impl()
-            D[:, 1:] ^= 1
-            return D
+            return super().qdiv_formula(y, x) ^ (np.asarray(x) != 0)
 
     with pytest.raises(ConsistencyError):
         WrongDivision(field_ctx(3))
     WrongDivision(field_ctx(3), strict=False)  # gate off: constructs
+
+
+def test_strict_gate_checks_the_closed_form_off_the_basis_rows():
+    # the linear table reads the closed form at y = 2^i only, so a formula
+    # wrong at y = 3 alone builds a correct table: only the sweep of the
+    # closed form over the whole grid sees it
+    class WrongOffBasis(KantorFamily):
+        def qdiv_formula(self, y, x):
+            return super().qdiv_formula(y, x) ^ (
+                (np.asarray(y) == 3) & (np.asarray(x) != 0))
+
+    with pytest.raises(ConsistencyError):
+        WrongOffBasis(field_ctx(5))
+    Q = WrongOffBasis(field_ctx(5), strict=False)
+    assert np.array_equal(Q.div_table_formula(), Q.div_table_oracle())
+    assert Q.qdiv_formula(3, 1) != Q.div_table_oracle()[3, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +346,39 @@ def test_kantor_division_matches_kernel_inverse(m):
         kernel_inv = invert_linearized(square_trace_map(ctx, x))
         for y in range(ctx.order):
             assert Q.qdiv_formula(y, x) == kernel_inv(y)
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_linear_flag_is_right_distributivity(m):
+    # the linear table fill is sound exactly where the columns are linear
+    for Q in small_families(m) + [make_family("dm", m, k=3),
+                                  make_family("knuth", m, beta=m)]:
+        assert type(Q).linear == verify_axioms(Q).right_distributive, Q
+
+
+ARRAY_CASES = [(name, m, params) for m in (9, 13) for name, params in
+               (("field", {}), ("dm", {"k": 5}), ("knuth", {"beta": 0x155}),
+                ("kantor", {}))]
+
+
+@pytest.mark.parametrize("name,m,params", ARRAY_CASES,
+                         ids=[f"{n}-m{m}" for n, m, _ in ARRAY_CASES])
+def test_array_calls_match_scalar_calls(name, m, params):
+    # one closed form serves both: broadcast array calls agree with the
+    # scalar calls elementwise, zeros included
+    Q = make_family(name, m, strict=False, **params)
+    q = Q.ctx.order
+    rng = np.random.default_rng(m)
+    e = np.arange(q)
+    xs = [0, 1, q - 1] + rng.integers(0, q, 61).tolist()
+    ys = np.concatenate([[0, 1, 2, q - 1], rng.integers(0, q, 12)])
+    grid = Q.qdiv_formula(ys[:, None], e)  # column x row
+    assert grid.shape == (len(ys), q)
+    for i, y in enumerate(ys.tolist()):
+        assert np.array_equal(Q.qdiv_formula(y, e), grid[i])  # scalar x row
+        for x in xs:
+            assert Q.qdiv_formula(y, x) == grid[i, x]
+    assert not np.any(grid[:, 0]) and not np.any(grid[0])
 
 
 def test_vectorized_div_tables_match_scalar_m7():
