@@ -6,17 +6,32 @@ input vector.  The Walsh coefficient at w is
 
     W(w) = sum_x (-1)^(f(x) + <w, x>)
 
-with <w, x> the XOR of the bits of w & x; walsh_spectrum computes all 2^n
-coefficients with the fast butterfly transform, and walsh_at recomputes
-single coefficients directly as an independent check.
+with <w, x> the XOR of the bits of w & x, so the spectrum is the Sylvester
+matrix H_{2^n}[w, x] = (-1)^<w, x> applied to the vector (-1)^f.  That matrix
+is a Kronecker product of small ones, H_{2^n} = H_{2^k_r} (x) .. (x) H_{2^k_1},
+one factor per run of index bits [lo, lo + k), and walsh_spectrum applies the
+factors as dense matrix products (BLAS) of at most FACTOR_BITS bits each, in
+two cache-blocked passes: every factor below bit log2(BLOCK) a block at a
+time, then every factor above it a column chunk at a time.  walsh_at
+recomputes single coefficients directly as an independent check.
+
+The products are exact.  After the factors covering bits [0, b), each value
+is a partial Walsh sum over 2^b inputs, an integer of magnitude <= 2^b, and
+every partial sum a factor on bits [lo, lo + k) forms on the way, in any
+order, is an integer of magnitude <= 2^(lo + k).  float32 holds every
+integer of magnitude <= 2^24 (EXACT_BITS) exactly, so a factor ending at or
+below bit 24 runs in float32; one ending above it (the last factor at
+n = 25 and 26) runs in float64, exact to 2^53, and the result is written as
+int32.  The values kept between the passes, after bits [0, log2(BLOCK)),
+are likewise exact float32 integers.
 
 f is bent when |W(w)| = 2^(n/2) for every w — only possible for even n, and
 the flat spectrum is exactly Parseval's identity sum W^2 = 2^(2n) spread as
 thin as it goes.
 
-The same butterfly skeleton with XOR in place of +/- is the Mobius
-transform, an involution between truth table and ANF coefficients; the
-algebraic degree reads off the heaviest monomial index.
+The Mobius transform, an involution between truth table and ANF
+coefficients, is the butterfly with XOR in place of +/-; the algebraic
+degree reads off the heaviest monomial index.
 
 File format: the bits packed 8 per byte, bit b of byte j = f(8j + b), as one
 line of lowercase hex; lines starting with `#` are comments (writers put
@@ -28,25 +43,37 @@ from functools import cache
 import numpy as np
 
 MAX_N = 26
-# entries per block of the cache-blocked loops below (256 KB of int32)
+# entries per block of the cache-blocked loops below (256 KB of float32 or
+# int32); the Walsh transform's first pass covers the index bits below
+# log2(BLOCK) a block at a time, its second the bits above in chunks of BLOCK
 BLOCK = 1 << 16
+# index bits per Hadamard factor of the Walsh transform (a 16 x 16 matrix)
+FACTOR_BITS = 4
+# float32 holds every integer of magnitude <= 2^EXACT_BITS exactly
+EXACT_BITS = np.finfo(np.float32).nmant + 1
 
 
 @cache
-def _byte_tables():
-    """The first three butterfly stages act within each group of 8 inputs,
+def _anf_bytes():
+    """The first three Mobius stages act within each group of 8 inputs,
     i.e. within one byte of the packed table, so they are one lookup per
-    byte.  Returns, per byte value, the 8-point Walsh transform of its bits
-    (256 x 8, int32) and their ANF packed as a byte."""
+    byte.  Returns, per byte value, the ANF of its bits packed as a byte."""
     e = np.arange(256)
     bits = (e[:, None] >> e[:8]) & 1  # LSB first, as packbits
-    signs = 1 - 2 * (np.bitwise_count(e[:8, None] & e[:8]) & 1).astype(int)
     subsets = (e[:8, None] & ~e[:8]) == 0  # j below w in the bit order
-    walsh = ((1 - 2 * bits) @ signs).astype(np.int32)
     anf = np.packbits((bits @ subsets) & 1, axis=1, bitorder="little").ravel()
-    walsh.setflags(write=False)  # shared by every caller
-    anf.setflags(write=False)
-    return walsh, anf
+    anf.setflags(write=False)  # shared by every caller
+    return anf
+
+
+@cache
+def _hadamard(k: int, dtype) -> np.ndarray:
+    """The Sylvester matrix H[w, x] = (-1)^popcount(w & x) of order 2^k,
+    read-only (shared by every caller)."""
+    e = np.arange(1 << k)
+    H = np.where(np.bitwise_count(e[:, None] & e) & 1, -1, 1).astype(dtype)
+    H.setflags(write=False)
+    return H
 
 
 class TruthTable:
@@ -55,14 +82,26 @@ class TruthTable:
     __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits):
-        if not 1 <= n <= MAX_N:
-            raise ValueError(f"n must be in [1, {MAX_N}]")
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != (1 << n,):
-            raise ValueError(f"need exactly 2^{n} bits, got shape {bits.shape}")
+        """Validates and copies `bits`, so the caller keeps its array."""
+        bits = np.array(bits, dtype=np.uint8)  # always a private copy
         if bits.max(initial=0) > 1:
             raise ValueError("truth-table entries must be 0 or 1")
-        bits = bits.copy()
+        self._own(n, bits)
+
+    @classmethod
+    def _adopt(cls, n: int, bits: np.ndarray) -> "TruthTable":
+        """Take over `bits`, a fresh uint8 array that no one else holds and
+        that is 0/1 by construction, without the copy and the 0/1 scan of
+        __init__ (for this package's own builders)."""
+        tt = cls.__new__(cls)
+        tt._own(n, bits)
+        return tt
+
+    def _own(self, n: int, bits: np.ndarray):
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"n must be in [1, {MAX_N}]")
+        if bits.shape != (1 << n,):
+            raise ValueError(f"need exactly 2^{n} bits, got shape {bits.shape}")
         bits.setflags(write=False)
         self.n = n
         self.bits = bits
@@ -87,42 +126,100 @@ class TruthTable:
         return self.weight() == 1 << (self.n - 1)
 
     def complement(self) -> "TruthTable":
-        return TruthTable(self.n, self.bits ^ 1)
+        return TruthTable._adopt(self.n, self.bits ^ 1)
 
 
 def walsh_spectrum(tt: TruthTable) -> np.ndarray:
-    """All 2^n Walsh coefficients, int32, index = mask w."""
-    if tt.n >= 3:
-        v = _byte_tables()[0][np.packbits(tt.bits, bitorder="little")].ravel()
-        h = 8
-    else:
-        v = 1 - 2 * tt.bits.astype(np.int32)
-        h = 1
-    scratch = np.empty(v.size // 2, dtype=np.int32)
-    # the stages within a block run block by block while it is in cache
-    block = min(v.size, BLOCK)
-    for b0 in range(0, v.size, block):
-        _walsh_stages(v[b0:b0 + block], scratch, h)
-    _walsh_stages(v, scratch, block)
-    return v
+    """All 2^n Walsh coefficients, int32, index = mask w (a fresh, writable
+    array).
+
+    First pass: each block of BLOCK inputs goes from its values (-1)^f
+    through every factor below bit `low`, in two float32 block buffers, and
+    is kept as float32 in the output's own memory (or, when that was every
+    bit, written as int32).  Second pass: _high_factors.
+    """
+    n = tt.n
+    out = np.empty(1 << n, dtype=np.int32)
+    # at most EXACT_BITS, so the values kept between the passes are exact
+    low = min(n, BLOCK.bit_length() - 1, EXACT_BITS)
+    factors = _factors(0, low)
+    keep = out if low == n else out.view(np.float32)
+    a = np.empty(1 << low, dtype=np.float32)
+    b = np.empty_like(a)
+    for b0 in range(0, out.size, a.size):
+        np.copyto(a, tt.bits[b0:b0 + a.size])
+        a *= -2
+        a += 1  # (-1)^f = 1 - 2f
+        keep[b0:b0 + a.size] = _run(factors, a, b)
+    if low < n:
+        _high_factors(out, low)
+    return out
 
 
-def _walsh_stages(v, scratch, h):
-    """The butterfly stages h, 2h, .. < v.size, in place; scratch holds the
-    differences of each stage."""
-    while h < v.size:
-        V = v.reshape(-1, 2 * h)
-        a, b = V[:, :h], V[:, h:]
-        diff = scratch[:v.size // 2].reshape(-1, h)
-        np.subtract(a, b, out=diff)
-        a += b
-        b[...] = diff
-        h *= 2
+def _high_factors(out: np.ndarray, low: int):
+    """Second pass of walsh_spectrum: the factors on bits [low, n), in place.
+
+    Seen as a (2^(n - low), 2^low) matrix, a column chunk holds every index
+    bit above `low` of its columns, so all those factors run on one chunk of
+    about BLOCK entries while it is in cache; it is then written back as
+    int32.  Factors ending above bit EXACT_BITS run in float64.
+    """
+    rows = out.size >> low
+    cols = min(1 << low, max(1, BLOCK // rows))
+    # index bit p >= low is bit p - low + log2(cols) of the flat chunk
+    shift = cols.bit_length() - 1 - low
+    runs = _factors(low, out.size.bit_length() - 1)
+    narrow = [(lo + shift, k) for lo, k in runs if lo + k <= EXACT_BITS]
+    wide = [(lo + shift, k) for lo, k in runs if lo + k > EXACT_BITS]
+    kept = out.view(np.float32).reshape(rows, -1)
+    final = out.reshape(rows, -1)
+    a = np.empty((rows, cols), dtype=np.float32)
+    b = np.empty_like(a)
+    if wide:
+        a64 = np.empty((rows, cols), dtype=np.float64)
+        b64 = np.empty_like(a64)
+    for c0 in range(0, 1 << low, cols):
+        np.copyto(a, kept[:, c0:c0 + cols])
+        v = _run(narrow, a, b)
+        if wide:
+            np.copyto(a64, v)
+            v = _run(wide, a64, b64)
+        final[:, c0:c0 + cols] = v
+
+
+def _factors(lo: int, hi: int) -> list:
+    """Index bits [lo, hi) as consecutive (lo, k) runs of at most
+    FACTOR_BITS bits, as even as possible, the longer ones first (so the
+    last, which may run in float64, is the shortest)."""
+    runs = []
+    for left in range(-(-(hi - lo) // FACTOR_BITS), 0, -1):
+        k = -(-(hi - lo) // left)
+        runs.append((lo, k))
+        lo += k
+    return runs
+
+
+def _run(factors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Apply each Hadamard factor (lo, k) to the flat index of buffer a,
+    ping-ponging between a and b; returns the buffer holding the result.
+
+    The factor on bits [lo, lo + k) is I (x) H_{2^k} (x) I_{2^lo}: one matmul
+    over a reshaped view, with the symmetric H on the right when lo = 0.
+    """
+    for lo, k in factors:
+        H = _hadamard(k, a.dtype)
+        if lo == 0:
+            np.matmul(a.reshape(-1, 1 << k), H, out=b.reshape(-1, 1 << k))
+        else:
+            shape = (-1, 1 << k, 1 << lo)
+            np.matmul(H, a.reshape(shape), out=b.reshape(shape))
+        a, b = b, a
+    return a
 
 
 def walsh_at(tt: TruthTable, w: int) -> int:
     """One Walsh coefficient by direct summation (independent of the
-    butterfly path)."""
+    factored transform)."""
     x = np.arange(1 << tt.n)
     inner = (np.bitwise_count(x & w) & 1).astype(np.uint8)
     return int((1 - 2 * (tt.bits ^ inner).astype(np.int64)).sum())
@@ -147,7 +244,7 @@ def mobius_transform(bits: np.ndarray) -> np.ndarray:
     byte, then the XOR butterflies over whole bytes.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    v = _byte_tables()[1][np.packbits(bits, bitorder="little")]
+    v = _anf_bytes()[np.packbits(bits, bitorder="little")]
     h = 1
     while h < v.size:
         V = v.reshape(-1, 2 * h)
@@ -200,4 +297,4 @@ def load_tt(path) -> TruthTable:
     if size == 0 or 1 << n != size:
         raise ValueError(f"file holds {size} bits; need a power of two")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return TruthTable(n, bits)
+    return TruthTable._adopt(n, bits)

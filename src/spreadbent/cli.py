@@ -13,7 +13,8 @@ only.  Field elements are written and read as lowercase hex; `--modulus HEX`
 overrides the default field polynomial wherever a field is built.
 
 Exit codes: 0 success; 1 a verification, certification, or consistency check
-failed; 2 invalid parameters (diagnostic names the offending flag or value).
+failed, or the command ran out of memory; 2 invalid parameters (diagnostic
+names the offending flag or value).
 """
 
 import argparse
@@ -42,6 +43,7 @@ from .construct import (
 )
 from .field import field_ctx
 from .polynomials import (
+    FormulaMismatchError,
     LinearizedMap,
     NotBijectiveError,
     dickson_inverse_exponent,
@@ -76,6 +78,27 @@ def _check_m(args, cap: int, what: str):
     """Refuse --m above a size cap before any table is built."""
     if args.m > cap:
         raise ValueError(f"--m {args.m} is above {cap}, the largest m {what}")
+
+
+def _command(args) -> str:
+    """The command and its --m, as an error message names them."""
+    m = getattr(args, "m", None)
+    return f"{args.group} {args.action}" + ("" if m is None else f" --m {m}")
+
+
+def _stopwatch():
+    """lap(name) writes `elapsed_ms.<name>=` to stderr: the time since the
+    previous lap, or since the stopwatch started."""
+    last = time.perf_counter()
+
+    def lap(name: str):
+        nonlocal last
+        now = time.perf_counter()
+        print(f"elapsed_ms.{name}={(now - last) * 1000.0:.1f}",
+              file=sys.stderr)
+        last = now
+
+    return lap
 
 
 def _family(args, strict=None):
@@ -181,9 +204,11 @@ def cmd_poly_invert_linearized(args) -> int:
 def cmd_bent_build(args) -> int:
     _check_m(args, MAX_N // 2,
              f"for a truth table on n = 2m <= {MAX_N} variables")
+    lap = _stopwatch()
     Q = _family(args)
     g, g_echo = _selector(args.g, args.m)
     f = ps_minus(Q, g, certify=False)
+    lap("table")  # the family, its division table and the gather
     # take what the report needs and drop the family, and with it its
     # cached q x q division table, before the Walsh transform and the ANF
     label, family = _label(Q), _family_pairs(Q)
@@ -191,28 +216,30 @@ def cmd_bent_build(args) -> int:
     if args.modulus is not None:
         header_params.append(f"modulus={_elem(Q.ctx.modulus)}")
     del Q
-    if not args.no_certify:
+    if args.no_certify:
+        bent = spectrum = "skipped"
+    else:
         # one Walsh transform certifies f and gives the spectrum= line
         s = walsh_spectrum(f)
         _certify(label, g, f, s)
+        if args.plus:
+            np.negative(s, out=s)  # the complement's spectrum
+        bent, spectrum = True, spectrum_summary(f, s)
+        del s  # freed before the complement and the ANF are allocated
+        lap("walsh")  # the transform, the certificate and the summary
     if args.plus:
         f = ps_plus(f)
         header_params.append("plus")
-        if not args.no_certify:
-            np.negative(s, out=s)  # the complement's spectrum
     save_tt(f, args.out, header=(f"m={args.m} family={family['family']} "
                                  f"params={','.join(header_params)}"))
-    pairs = {"command": "bent build", **family, "g": g_echo,
-             "out": args.out, "plus": args.plus, "n": f.n,
-             "weight": f.weight(), "degree": degree(f),
-             "certified": not args.no_certify}
-    if args.no_certify:
-        pairs["bent"] = "skipped"
-        pairs["spectrum"] = "skipped"
-    else:
-        pairs["bent"] = True  # certified above
-        pairs["spectrum"] = spectrum_summary(f, s)
-    _emit(pairs)
+    lap("save")  # the complement, if any, and the file
+    deg = degree(f)
+    lap("degree")
+    _emit({"command": "bent build", **family, "g": g_echo,
+           "out": args.out, "plus": args.plus, "n": f.n,
+           "weight": f.weight(), "degree": deg,
+           "certified": not args.no_certify, "bent": bent,
+           "spectrum": spectrum})
     return 0
 
 
@@ -341,6 +368,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
+    except FormulaMismatchError as exc:
+        print(f"error: {_command(args)}: {exc}", file=sys.stderr)
+        code = 1
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: {_command(args)}: out of memory{detail}",
+              file=sys.stderr)
+        code = 1
     finally:
         elapsed = (time.perf_counter() - t0) * 1000.0
         print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)

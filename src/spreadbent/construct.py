@@ -119,8 +119,8 @@ def ps_minus(Q: PreQuasifield, g: Selector, certify: bool = True) -> TruthTable:
     if g.m != m:
         raise ValueError(f"selector is for m={g.m}, family has m={m}")
     D = Q.div_table_formula()
-    bits = g.table[D.ravel()]  # row-major: position (y << m) | x
-    tt = TruthTable(2 * m, bits)
+    # row-major: position (y << m) | x; the gather is fresh, so no copy
+    tt = TruthTable._adopt(2 * m, g.table[D.ravel()])
     if certify:
         _certify(_label(Q), g, tt)
     return tt
@@ -149,7 +149,7 @@ def ps_from_components(S: Spread, slopes) -> TruthTable:
     bits = np.zeros(1 << (2 * m), dtype=np.uint8)
     for a in g.support:
         bits[S.component(a)] ^= 1
-    return TruthTable(2 * m, bits)
+    return TruthTable._adopt(2 * m, bits)
 
 
 def ps_plus(f: TruthTable) -> TruthTable:

@@ -64,6 +64,30 @@ def test_equality_and_immutability():
         a.bits[0] = 1
 
 
+def test_outside_arrays_are_copied():
+    bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+    tt = TruthTable(2, bits)
+    bits[0] = 1  # the caller's array stays the caller's
+    assert list(tt.bits) == [0, 1, 1, 0]
+    assert not np.shares_memory(tt.bits, bits)
+    assert bits.flags.writeable and not tt.bits.flags.writeable
+    with pytest.raises(ValueError):
+        tt.bits[0] = 1
+
+
+def test_complement_allocates_one_table():
+    import tracemalloc
+    tt = random_tt(18, 5)
+    tracemalloc.start()
+    try:
+        c = tt.complement()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 << 18 <= peak < 2 << 18  # the XOR's result, not a copy of it
+    assert not c.bits.flags.writeable
+
+
 def test_complement():
     tt = random_tt(5, 1)
     c = tt.complement()
@@ -91,12 +115,22 @@ def test_spectrum_of_linear_function():
     assert np.count_nonzero(s) == 1
 
 
+# a 16-entry block, 2-bit factors and float64 above bit 7: several blocks
+# from n = 5 on, several second-pass factors from n = 7, float64 from n = 8
+SMALL_FACTORS = {"BLOCK": 16, "FACTOR_BITS": 2, "EXACT_BITS": 7}
+
+
+def set_constants(monkeypatch, constants):
+    import spreadbent.boolfun as bf
+    for name, value in constants.items():
+        monkeypatch.setattr(bf, name, value)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
 def test_spectrum_matches_direct_sum(n, monkeypatch):
-    import spreadbent.boolfun as bf
     tt = random_tt(n, n)
-    for block in (bf.BLOCK, 16):  # one block, and several from n = 5 on
-        monkeypatch.setattr(bf, "BLOCK", block)
+    for constants in ({}, SMALL_FACTORS):  # the defaults, then small ones
+        set_constants(monkeypatch, constants)
         s = walsh_spectrum(tt)
         assert s.dtype == np.int32
         for w in range(1 << n):
@@ -319,3 +353,139 @@ def test_degree_of_constants_and_monomials():
             k = bin(mask).count("1")
             assert degree(TruthTable(n, bits)) == k
             assert degree(TruthTable(n, bits ^ 1)) == k
+
+
+# ---------------------------------------------------------------------------
+# the factored Walsh transform against the int32 butterfly it replaced
+
+
+def direct_walsh(bits):
+    """The +/- butterfly on int32, one stage at a time."""
+    v = 1 - 2 * np.asarray(bits, dtype=np.int32)
+    h = 1
+    while h < v.size:
+        V = v.reshape(-1, 2 * h)
+        a, b = V[:, :h].copy(), V[:, h:].copy()
+        V[:, :h] = a + b
+        V[:, h:] = a - b
+        h *= 2
+    return v
+
+
+def structured_tts(n):
+    """Random, constant, delta, linear and (for even n) bent functions."""
+    size = 1 << n
+    x = np.arange(size)
+    delta = np.zeros(size, dtype=np.uint8)
+    delta[0] = 1
+    yield random_tt(n, 1000 + n)
+    yield TruthTable(n, np.zeros(size, dtype=np.uint8))
+    yield TruthTable(n, np.ones(size, dtype=np.uint8))
+    yield TruthTable(n, delta)
+    yield TruthTable(n, delta ^ 1)
+    for w in {1, size - 1, (0x5a5a5a5 & (size - 1)) | (size >> 1)}:
+        yield TruthTable(n, (np.bitwise_count(x & w) & 1).astype(np.uint8))
+    if n % 2 == 0:
+        yield inner_product_tt(n // 2)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_spectrum_matches_int32_butterfly(n):
+    for tt in structured_tts(n):
+        s = walsh_spectrum(tt)
+        assert s.dtype == np.int32 and s.flags.writeable
+        assert np.array_equal(s, direct_walsh(tt.bits))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_spectrum_with_small_factors(n, monkeypatch):
+    # many blocks, many second-pass factors and the float64 path, at small n
+    import spreadbent.boolfun as bf
+    set_constants(monkeypatch, SMALL_FACTORS)
+    dtypes = set()
+    run = bf._run
+
+    def spy(factors, a, b):
+        if factors:
+            dtypes.add(a.dtype)
+        return run(factors, a, b)
+
+    monkeypatch.setattr(bf, "_run", spy)
+    for tt in structured_tts(n):
+        assert np.array_equal(walsh_spectrum(tt), direct_walsh(tt.bits))
+    assert (np.dtype(np.float64) in dtypes) == (n >= 8)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_factor_plan(n):
+    # the factors tile [0, n); only the last one at n = 25 and 26 ends above
+    # the float32 bound, and the first pass stays below it
+    import spreadbent.boolfun as bf
+    low = min(n, bf.BLOCK.bit_length() - 1)
+    runs = bf._factors(0, low) + bf._factors(low, n)
+    assert [lo for lo, _ in runs] == [0] + [lo + k for lo, k in runs[:-1]]
+    assert sum(k for _, k in runs) == n
+    assert all(1 <= k <= bf.FACTOR_BITS for _, k in runs)
+    assert bf.EXACT_BITS == 24 and low <= 24
+    wide = [i for i, (lo, k) in enumerate(runs) if lo + k > 24]
+    assert wide == ([len(runs) - 1] if n > 24 else [])
+
+
+def test_hadamard_factors_are_frozen():
+    import spreadbent.boolfun as bf
+    H = bf._hadamard(3, np.dtype(np.float32))
+    assert H is bf._hadamard(3, np.dtype(np.float32))
+    assert np.array_equal(H @ H, 8 * np.eye(8))
+    with pytest.raises(ValueError):
+        H[0, 0] = 0
+
+
+def test_spectrum_at_n26_is_exact():
+    # W(0) of the delta function is 2^26 - 2, which float32 rounds to 2^26
+    n = MAX_N
+    bits = np.zeros(1 << n, dtype=np.uint8)
+    bits[0] = 1
+    s = walsh_spectrum(TruthTable(n, bits))
+    assert s[0] == (1 << n) - 2
+    assert np.all(s[1:] == -2)
+    del s
+    bits[0] = 0  # the constant 0
+    s = walsh_spectrum(TruthTable(n, bits))
+    assert s[0] == 1 << n and np.count_nonzero(s) == 1
+    del s, bits
+    # x0 + x12 + x25: the whole mass at w = 2^25 + 2^12 + 1
+    p = np.arange(2, dtype=np.uint8)
+    bits = np.empty((2, 1 << 12, 2, 1 << 11, 2), dtype=np.uint8)
+    bits[...] = p[:, None, None, None, None] ^ p[:, None, None] ^ p
+    s = walsh_spectrum(TruthTable(n, bits.ravel()))
+    w = (1 << 25) | (1 << 12) | 1
+    assert s[w] == 1 << n and np.count_nonzero(s) == 1
+
+
+def test_spectrum_is_independent_of_blas_threads(tmp_path):
+    # every partial sum is an exact integer, so no summation order the
+    # BLAS picks for its threads can change a bit of the spectrum
+    import hashlib
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import hashlib, numpy as np\n"
+             "from spreadbent.boolfun import TruthTable, walsh_spectrum\n"
+             "rng = np.random.default_rng(22)\n"
+             "bits = rng.integers(0, 2, 1 << 22, dtype=np.uint8)\n"
+             "s = walsh_spectrum(TruthTable(22, bits))\n"
+             "print(hashlib.sha256(s.tobytes()).hexdigest())\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(src)
+    digests = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        r = subprocess.run([sys.executable, "-c", probe], env={**env, **threads},
+                           capture_output=True, text=True, cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        digests.append(r.stdout.strip())
+    bits = np.random.default_rng(22).integers(0, 2, 1 << 22, dtype=np.uint8)
+    ref = hashlib.sha256(direct_walsh(bits).tobytes()).hexdigest()
+    assert digests == [ref, ref]

@@ -9,6 +9,7 @@ import pytest
 
 from spreadbent import __version__
 from spreadbent.cli import main
+from spreadbent.polynomials import FormulaMismatchError
 from spreadbent.quasifield import make_family
 
 
@@ -403,7 +404,12 @@ def test_build_reproduces_pinned_output(key, tmp_path, monkeypatch, capsys):
     argv, stdout, sha = GOLDEN_BUILDS[key]
     monkeypatch.chdir(tmp_path)
     assert run(["bent", "build", *argv, "--out", f"{key}.tt"]) == 0
-    assert capsys.readouterr().out == "bent=true\n" + stdout
+    captured = capsys.readouterr()
+    assert captured.out == "bent=true\n" + stdout
+    # the stage timings go to stderr, next to the total
+    timed = [line.split("=")[0] for line in captured.err.splitlines()]
+    assert timed == ["elapsed_ms.table", "elapsed_ms.walsh", "elapsed_ms.save",
+                     "elapsed_ms.degree", "elapsed_ms"]
     data = (tmp_path / f"{key}.tt").read_bytes()
     assert hashlib.sha256(data).hexdigest() == sha
 
@@ -512,3 +518,43 @@ def test_timing_goes_to_stderr(capsys):
     captured = capsys.readouterr()
     assert "elapsed_ms" in captured.err
     assert "elapsed_ms" not in captured.out
+
+
+@pytest.mark.parametrize("exc,message", [
+    (FormulaMismatchError("the combination polynomial misses the matrix "
+                          "inverse (m=5, a=0x3)"),
+     "error: qf verify --m 5: the combination polynomial misses the matrix "
+     "inverse (m=5, a=0x3)\n"),
+    (MemoryError("Unable to allocate 256. MiB for an array"),
+     "error: qf verify --m 5: out of memory (Unable to allocate 256. MiB for "
+     "an array)\n"),
+    (MemoryError(), "error: qf verify --m 5: out of memory\n"),
+], ids=["formula-mismatch", "memory", "memory-bare"])
+def test_library_errors_exit_one_without_traceback(exc, message, monkeypatch,
+                                                   capsys):
+    import spreadbent.cli as cli
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_family", fail)
+    assert run(["qf", "verify", "--family", "kantor", "--m", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+
+
+def test_memory_error_names_bent_build_and_m(tmp_path, monkeypatch, capsys):
+    import spreadbent.cli as cli
+
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 256. MiB for an array")
+
+    monkeypatch.setattr(cli, "walsh_spectrum", fail)
+    assert run(["bent", "build", "--family", "kantor", "--m", "5",
+                "--g", "random:1", "--out", str(tmp_path / "f.tt")]) == 1
+    err = capsys.readouterr().err
+    assert "error: bent build --m 5: out of memory (Unable to allocate" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "f.tt").exists()

@@ -99,6 +99,22 @@ def test_ps_minus_index_convention():
             assert f((y << 3) | x) == g(Q.qdiv_formula(y, x))
 
 
+def test_ps_minus_allocates_one_table():
+    # the gather g(D) is the truth table itself: no second 2^(2m)-byte copy
+    import tracemalloc
+    Q = make_family("field", 9)
+    g = random_selector(9, 1)
+    Q.div_table_formula()  # the cached table is not part of the build
+    tracemalloc.start()
+    try:
+        f = ps_minus(Q, g, certify=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 << 18 <= peak < 2 << 18
+    assert f.n == 18 and not f.bits.flags.writeable
+
+
 def test_ps_minus_rejects_mismatched_selector():
     with pytest.raises(ValueError):
         ps_minus(make_family("field", 3), random_selector(5, 1))
