@@ -140,8 +140,8 @@ def walsh_spectrum(tt: TruthTable) -> np.ndarray:
     """
     n = tt.n
     out = np.empty(1 << n, dtype=np.int32)
-    # at most EXACT_BITS, so the values kept between the passes are exact
-    low = min(n, BLOCK.bit_length() - 1, EXACT_BITS)
+    # BLOCK <= 2^EXACT_BITS, so the values kept between the passes are exact
+    low = min(n, BLOCK.bit_length() - 1)
     factors = _factors(0, low)
     keep = out if low == n else out.view(np.float32)
     a = np.empty(1 << low, dtype=np.float32)
@@ -165,7 +165,7 @@ def _high_factors(out: np.ndarray, low: int):
     int32.  Factors ending above bit EXACT_BITS run in float64.
     """
     rows = out.size >> low
-    cols = min(1 << low, max(1, BLOCK // rows))
+    cols = max(1, BLOCK // rows)
     # index bit p >= low is bit p - low + log2(cols) of the flat chunk
     shift = cols.bit_length() - 1 - low
     runs = _factors(low, out.size.bit_length() - 1)

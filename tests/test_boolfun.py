@@ -419,14 +419,14 @@ def test_spectrum_with_small_factors(n, monkeypatch):
 @pytest.mark.parametrize("n", range(1, MAX_N + 1))
 def test_factor_plan(n):
     # the factors tile [0, n); only the last one at n = 25 and 26 ends above
-    # the float32 bound, and the first pass stays below it
+    # the float32 bound, and the values kept after the first pass are below it
     import spreadbent.boolfun as bf
     low = min(n, bf.BLOCK.bit_length() - 1)
     runs = bf._factors(0, low) + bf._factors(low, n)
     assert [lo for lo, _ in runs] == [0] + [lo + k for lo, k in runs[:-1]]
     assert sum(k for _, k in runs) == n
     assert all(1 <= k <= bf.FACTOR_BITS for _, k in runs)
-    assert bf.EXACT_BITS == 24 and low <= 24
+    assert bf.EXACT_BITS == 24 and bf.BLOCK <= 1 << bf.EXACT_BITS
     wide = [i for i, (lo, k) in enumerate(runs) if lo + k > 24]
     assert wide == ([len(runs) - 1] if n > 24 else [])
 
