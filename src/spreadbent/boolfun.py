@@ -30,8 +30,15 @@ the flat spectrum is exactly Parseval's identity sum W^2 = 2^(2n) spread as
 thin as it goes.
 
 The Mobius transform, an involution between truth table and ANF
-coefficients, is the butterfly with XOR in place of +/-; the algebraic
-degree reads off the heaviest monomial index.
+coefficients, is the butterfly with XOR in place of +/-.  It runs on the
+table packed into 64-bit words, bit b of word j standing for input
+64 j + b: the six stages on bits 0..5 of the input stay inside a word, where
+stage h is w ^= (w & M_h) << h with M_h the positions whose bit h is clear;
+the stages above are XORs of whole words, first within blocks of BLOCK / 8
+words, then across them.  The algebraic degree reads off the heaviest
+monomial on the same words, never unpacked: coefficient 64 j + b has weight
+popcount(j) + popcount(b), so the degree is the largest popcount(j) + d over
+words j that meet MASK_d, the positions b < 64 with popcount(b) = d.
 
 File format: the bits packed 8 per byte, bit b of byte j = f(8j + b), as one
 line of lowercase hex; lines starting with `#` are comments (writers put
@@ -45,25 +52,21 @@ import numpy as np
 MAX_N = 26
 # entries per block of the cache-blocked loops below (256 KB of float32 or
 # int32); the Walsh transform's first pass covers the index bits below
-# log2(BLOCK) a block at a time, its second the bits above in chunks of BLOCK
+# log2(BLOCK) a block at a time, its second the bits above in chunks of BLOCK;
+# the Mobius transform and the degree take BLOCK / 8 packed words (64 KB)
 BLOCK = 1 << 16
 # index bits per Hadamard factor of the Walsh transform (a 16 x 16 matrix)
 FACTOR_BITS = 4
 # float32 holds every integer of magnitude <= 2^EXACT_BITS exactly
 EXACT_BITS = np.finfo(np.float32).nmant + 1
-
-
-@cache
-def _anf_bytes():
-    """The first three Mobius stages act within each group of 8 inputs,
-    i.e. within one byte of the packed table, so they are one lookup per
-    byte.  Returns, per byte value, the ANF of its bits packed as a byte."""
-    e = np.arange(256)
-    bits = (e[:, None] >> e[:8]) & 1  # LSB first, as packbits
-    subsets = (e[:8, None] & ~e[:8]) == 0  # j below w in the bit order
-    anf = np.packbits((bits @ subsets) & 1, axis=1, bitorder="little").ravel()
-    anf.setflags(write=False)  # shared by every caller
-    return anf
+# the in-word Mobius stages (h, M_h): M_h holds the bit positions b < 64
+# with bit h of b clear
+_IN_WORD = tuple((h, np.uint64(sum(1 << b for b in range(64) if not b & h)))
+                 for h in (1, 2, 4, 8, 16, 32))
+# MASK_d for d = 0 .. 6: the bit positions b < 64 with popcount(b) = d
+_WEIGHT_MASKS = tuple(
+    np.uint64(sum(1 << b for b in range(64) if b.bit_count() == d))
+    for d in range(7))
 
 
 @cache
@@ -238,19 +241,10 @@ def is_bent(tt: TruthTable, spectrum=None) -> bool:
 
 def mobius_transform(bits: np.ndarray) -> np.ndarray:
     """XOR-butterfly Mobius transform (an involution): truth table <-> ANF
-    coefficient vector.
-
-    Runs on the packed bits: one lookup per byte for the stages within a
-    byte, then the XOR butterflies over whole bytes.
-    """
+    coefficient vector, of 2^n entries."""
     bits = np.asarray(bits, dtype=np.uint8)
-    v = _anf_bytes()[np.packbits(bits, bitorder="little")]
-    h = 1
-    while h < v.size:
-        V = v.reshape(-1, 2 * h)
-        V[:, h:] ^= V[:, :h]
-        h *= 2
-    return np.unpackbits(v, count=bits.size, bitorder="little")
+    return np.unpackbits(_anf_words(bits).view(np.uint8), count=bits.size,
+                         bitorder="little")
 
 
 def anf(tt: TruthTable) -> np.ndarray:
@@ -260,19 +254,72 @@ def anf(tt: TruthTable) -> np.ndarray:
 
 
 def degree(tt: TruthTable) -> int:
-    """Algebraic degree: heaviest monomial in the ANF (0 for constants).
+    """Algebraic degree: heaviest monomial in the ANF (0 for constants)."""
+    return _word_degree(_anf_words(tt.bits))
 
-    The maximum of anf * popcount(index), a block of rows at a time, with
-    the index split into high and low halves: popcount(index) is the outer
-    sum of the two halves' popcounts.
+
+def _anf_words(bits: np.ndarray) -> np.ndarray:
+    """The Mobius transform of 2^n table entries, packed: bit b of word j is
+    the coefficient of monomial 64 j + b (a fresh array of max(1, 2^n / 64)
+    little-endian uint64 words; for n < 6 the bits above 2^n are 0).
+
+    A block of BLOCK / 8 words at a time goes through the six in-word
+    stages and the word stages inside the block, with one reused temporary;
+    then the word stages that cross blocks run over the whole array.
     """
-    low = tt.n // 2
-    A = anf(tt).reshape(-1, 1 << low)
-    pc = np.bitwise_count(np.arange(A.shape[0], dtype=np.uint32))
-    pc_low = pc[:A.shape[1]]
-    rows = max(1, BLOCK // A.shape[1])
-    return max(int((A[r:r + rows] * (pc[r:r + rows, None] + pc_low)).max())
-               for r in range(0, A.shape[0], rows))
+    size = bits.size
+    packed = np.packbits(bits, bitorder="little")
+    if size < 64:
+        packed = np.pad(packed, (0, 8 - packed.size))  # one whole word
+    w = packed.view("<u8")
+    step = min(w.size, BLOCK // 8)
+    tmp = np.empty(step, dtype=w.dtype)
+    for b0 in range(0, w.size, step):
+        blk = w[b0:b0 + step]
+        for h, mask in _IN_WORD:
+            np.bitwise_and(blk, mask, out=tmp)
+            np.left_shift(tmp, h, out=tmp)
+            blk ^= tmp
+        _word_stages(blk, 1)
+    _word_stages(w, step)
+    if size < 64:
+        w &= np.uint64((1 << size) - 1)  # the stages above n moved bits there
+    return w
+
+
+def _word_stages(w: np.ndarray, h: int):
+    """The Mobius stages on whole words h, 2h, .. < w.size, in place."""
+    while h < w.size:
+        V = w.reshape(-1, 2 * h)
+        V[:, h:] ^= V[:, :h]
+        h *= 2
+
+
+def _word_degree(w: np.ndarray) -> int:
+    """Algebraic degree from the words of _anf_words: the largest
+    popcount(j) + d over words j with w[j] & MASK_d != 0 (0 if none).
+
+    A block of words at a time: the words whose in-block offsets share a
+    popcount are OR-ed together (one gather into popcount order, one
+    reduceat), since an OR meets MASK_d iff one of its words does.  A block
+    starts at a multiple of its power-of-two size, so popcount(j) is the
+    start's popcount plus the offset's; acc[c] gathers the ORs over all
+    words with popcount(j) = c.
+    """
+    step = min(w.size, BLOCK // 8)
+    k = step.bit_length() - 1  # offset bits
+    pc = np.bitwise_count(np.arange(step))
+    order = np.argsort(pc, kind="stable")
+    starts = np.searchsorted(pc[order], np.arange(k + 1))
+    tmp = np.empty(step, dtype=w.dtype)
+    acc = np.zeros(w.size.bit_length(), dtype=w.dtype)
+    for b0 in range(0, w.size, step):
+        np.take(w[b0:b0 + step], order, out=tmp)
+        c = b0.bit_count()
+        acc[c:c + k + 1] |= np.bitwise_or.reduceat(tmp, starts)
+    return max((c + d for c, word in enumerate(acc)
+                for d, mask in enumerate(_WEIGHT_MASKS) if word & mask),
+               default=0)
 
 
 def save_tt(tt: TruthTable, path, header: str | None = None):

@@ -24,7 +24,8 @@ import time
 from . import __version__
 from .boolfun import (
     MAX_N,
-    anf,
+    _anf_words,
+    _word_degree,
     degree,
     is_bent,
     load_tt,
@@ -207,8 +208,10 @@ def cmd_bent_build(args) -> int:
     lap = _stopwatch()
     Q = _family(args)
     g, g_echo = _selector(args.g, args.m)
+    Q.div_table_formula()
+    lap("table")  # the family and its division table
     f = ps_minus(Q, g, certify=False)
-    lap("table")  # the family, its division table and the gather
+    lap("gather")  # the truth table, from the cached division table
     # take what the report needs and drop the family, and with it its
     # cached q x q division table, before the Walsh transform and the ANF
     label, family = _label(Q), _family_pairs(Q)
@@ -253,10 +256,10 @@ def cmd_bent_verify(args) -> int:
 
 def cmd_bent_anf(args) -> int:
     f = load_tt(args.tt)
-    coeffs = anf(f)
+    words = _anf_words(f.bits)  # one Mobius transform for both counts
     _emit({"command": "bent anf", "tt": args.tt, "n": f.n,
-           "weight": f.weight(), "degree": degree(f),
-           "monomials": int(coeffs.sum())})
+           "weight": f.weight(), "degree": _word_degree(words),
+           "monomials": int(np.bitwise_count(words).sum())})
     return 0
 
 

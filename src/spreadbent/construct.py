@@ -111,16 +111,25 @@ def random_selector(m: int, seed: int) -> Selector:
 def ps_minus(Q: PreQuasifield, g: Selector, certify: bool = True) -> TruthTable:
     """f(x, y) = g(y // x) over the 2m-bit point space, index (y << m) | x.
 
-    The closed-form division table drives the whole construction.  With
-    certify (the default) the output is swept with the full Walsh transform
-    and anything non-bent raises CertificationError.
+    The closed-form division table drives the whole construction.  Its
+    int32 entries index g a block of BLOCK / 4 entries at a time, copied
+    into one reused intp buffer: numpy gathers from intp indices on its
+    fast path, from int32 ones through its casting path, and an intp copy
+    of the whole table would take 8 bytes per point (512 MB at m = 13).
+    With certify (the default) the output is swept with the full Walsh
+    transform and anything non-bent raises CertificationError.
     """
     m = Q.ctx.m
     if g.m != m:
         raise ValueError(f"selector is for m={g.m}, family has m={m}")
-    D = Q.div_table_formula()
-    # row-major: position (y << m) | x; the gather is fresh, so no copy
-    tt = TruthTable._adopt(2 * m, g.table[D.ravel()])
+    D = Q.div_table_formula().ravel()  # row-major: position (y << m) | x
+    bits = np.empty(D.size, dtype=np.uint8)
+    idx = np.empty(min(D.size, BLOCK // 4), dtype=np.intp)
+    for i in range(0, D.size, idx.size):
+        part = idx[:D.size - i]  # the last block may be short
+        np.copyto(part, D[i:i + part.size])
+        np.take(g.table, part, out=bits[i:i + part.size])
+    tt = TruthTable._adopt(2 * m, bits)  # fresh, so no copy
     if certify:
         _certify(_label(Q), g, tt)
     return tt

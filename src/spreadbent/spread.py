@@ -82,8 +82,13 @@ class Spread:
 
 
 def build_spread(Q: PreQuasifield) -> Spread:
-    """Materialize E_a = {(x, a <> x)} for every a, plus E_inf."""
+    """Materialize E_a = {(x, a <> x)} for every a, plus E_inf; only for
+    m <= SPREAD_VERIFY_MAX_M, checked before any table is built."""
     m = Q.ctx.m
+    if m > SPREAD_VERIFY_MAX_M:
+        raise ValueError(f"spread not built at m = {m}: its components are "
+                         f"capped at m = SPREAD_VERIFY_MAX_M = "
+                         f"{SPREAD_VERIFY_MAX_M}, like the sweep")
     q = Q.ctx.order
     T = Q.mult_table().astype(np.int64)
     xs = np.arange(q, dtype=np.int64)

@@ -313,32 +313,59 @@ def direct_mobius(bits):
 
 def direct_degree(tt):
     a = anf(tt)
-    return max((bin(s).count("1") for s in range(1 << tt.n) if a[s]),
-               default=0)
+    return max((bin(s).count("1") for s in np.flatnonzero(a)), default=0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12])
-def test_mobius_matches_direct_butterfly(n):
+# a block of 8 words: n = 12 spans 8 blocks, with the word stages on 1, 2
+# and 4 words inside a block and those on 8, 16 and 32 across blocks
+SMALL_WORD_BLOCK = 64
+
+
+def bounded_anf_tables(n, rng):
+    """Random truth tables, then the tables of random ANFs with monomials
+    of degree <= d only, for a random d."""
+    pc = np.bitwise_count(np.arange(1 << n))
     for seed in range(3):
-        bits = random_tt(n, seed).bits
-        assert np.array_equal(mobius_transform(bits), direct_mobius(bits))
+        yield random_tt(n, 100 * n + seed).bits
+        d = int(rng.integers(0, n + 1))
+        coeffs = (rng.integers(0, 2, 1 << n) * (pc <= d)).astype(np.uint8)
+        yield direct_mobius(coeffs)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_mobius_matches_direct_butterfly(n, monkeypatch):
+    import spreadbent.boolfun as bf
+    for block in (bf.BLOCK, SMALL_WORD_BLOCK):
+        monkeypatch.setattr(bf, "BLOCK", block)
+        for bits in bounded_anf_tables(n, np.random.default_rng(n)):
+            assert np.array_equal(mobius_transform(bits), direct_mobius(bits))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
 def test_degree_matches_enumeration(n, monkeypatch):
     import spreadbent.boolfun as bf
-    rng = np.random.default_rng(n)
-    for block in (bf.BLOCK, 4):  # the default and many row blocks
+    for block in (bf.BLOCK, SMALL_WORD_BLOCK):
         monkeypatch.setattr(bf, "BLOCK", block)
-        for seed in range(3):
-            tt = random_tt(n, 100 * n + seed)
+        for bits in bounded_anf_tables(n, np.random.default_rng(n)):
+            tt = TruthTable(n, bits)
             assert degree(tt) == direct_degree(tt)
-            # a random ANF with monomials of degree <= d only
-            d = int(rng.integers(0, n + 1))
-            pc = np.bitwise_count(np.arange(1 << n))
-            coeffs = (rng.integers(0, 2, 1 << n) * (pc <= d)).astype(np.uint8)
-            tt = TruthTable(n, mobius_transform(coeffs))
-            assert degree(tt) == direct_degree(tt)
+
+
+def test_degree_allocates_the_words_and_blocks():
+    import tracemalloc
+    import spreadbent.boolfun as bf
+    bits = np.zeros(1 << 20, dtype=np.uint8)
+    bits[-1] = 1  # the monomial x0 x1 .. x19
+    tt = TruthTable._adopt(20, bits)
+    tracemalloc.start()
+    try:
+        d = degree(tt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 20
+    # the packed words, then nothing larger than a few blocks
+    assert peak < (1 << 20) // 8 + 4 * bf.BLOCK
 
 
 def test_degree_of_constants_and_monomials():
@@ -460,6 +487,16 @@ def test_spectrum_at_n26_is_exact():
     s = walsh_spectrum(TruthTable(n, bits.ravel()))
     w = (1 << 25) | (1 << 12) | 1
     assert s[w] == 1 << n and np.count_nonzero(s) == 1
+
+
+def test_degree_at_n26_is_exact():
+    # the delta function's ANF is every monomial, the top one of weight 26
+    n = MAX_N
+    bits = np.zeros(1 << n, dtype=np.uint8)
+    bits[0] = 1
+    assert degree(TruthTable._adopt(n, bits)) == n
+    bits = np.zeros(1 << n, dtype=np.uint8)  # the constant 0
+    assert degree(TruthTable._adopt(n, bits)) == 0
 
 
 def test_spectrum_is_independent_of_blas_threads(tmp_path):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from spreadbent import __version__
+from spreadbent.boolfun import anf, degree, load_tt
 from spreadbent.cli import main
 from spreadbent.polynomials import FormulaMismatchError
 from spreadbent.quasifield import make_family
@@ -273,6 +274,30 @@ def test_anf_report(tmp_path, capsys):
     assert int(rep["monomials"]) > 0
 
 
+def test_anf_runs_one_mobius_transform(tmp_path, monkeypatch, capsys):
+    import spreadbent.boolfun as boolfun
+    import spreadbent.cli as cli
+    out = tmp_path / "f.tt"
+    run(["bent", "build", "--family", "kantor", "--m", "5",
+         "--g", "random:3", "--out", str(out)])
+    capsys.readouterr()
+    f = load_tt(out)
+    calls = []
+
+    def counting(bits):
+        calls.append(bits.size)
+        return words(bits)
+
+    words = boolfun._anf_words
+    for module in (boolfun, cli):  # wherever it is looked up
+        monkeypatch.setattr(module, "_anf_words", counting)
+    assert run(["bent", "anf", "--tt", str(out)]) == 0
+    rep = report(capsys)
+    assert calls == [1 << 10]
+    assert rep["degree"] == str(degree(f))
+    assert rep["monomials"] == str(int(anf(f).sum()))
+
+
 # ---------------------------------------------------------------------------
 # determinism and packaging
 
@@ -408,8 +433,8 @@ def test_build_reproduces_pinned_output(key, tmp_path, monkeypatch, capsys):
     assert captured.out == "bent=true\n" + stdout
     # the stage timings go to stderr, next to the total
     timed = [line.split("=")[0] for line in captured.err.splitlines()]
-    assert timed == ["elapsed_ms.table", "elapsed_ms.walsh", "elapsed_ms.save",
-                     "elapsed_ms.degree", "elapsed_ms"]
+    assert timed == ["elapsed_ms.table", "elapsed_ms.gather", "elapsed_ms.walsh",
+                     "elapsed_ms.save", "elapsed_ms.degree", "elapsed_ms"]
     data = (tmp_path / f"{key}.tt").read_bytes()
     assert hashlib.sha256(data).hexdigest() == sha
 

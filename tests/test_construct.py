@@ -19,6 +19,9 @@ from spreadbent.construct import (
 from spreadbent.quasifield import KantorFamily, make_family
 from spreadbent.spread import INFINITY, build_spread
 
+FAMILIES = [("field", {}), ("dm", {"k": 1}), ("knuth", {"beta": 3}),
+            ("kantor", {})]
+
 
 # ---------------------------------------------------------------------------
 # selectors
@@ -115,14 +118,29 @@ def test_ps_minus_allocates_one_table():
     assert f.n == 18 and not f.bits.flags.writeable
 
 
+@pytest.mark.parametrize("m,short", [(3, 3), (5, 3), (9, 1000)])
+def test_ps_minus_gather_matches_fancy_index(m, short, monkeypatch):
+    # the blocked intp gather is g.table[D], with the default block and with
+    # blocks of `short` entries, which leave a short last block
+    import spreadbent.construct as construct
+    assert (1 << (2 * m)) % short
+    g = random_selector(m, m)
+    blocks = (construct.BLOCK, 4 * short)
+    for name, kw in FAMILIES:
+        Q = make_family(name, m, **kw)
+        expect = g.table[Q.div_table_formula().ravel()]
+        for block in blocks:
+            monkeypatch.setattr(construct, "BLOCK", block)
+            f = ps_minus(Q, g, certify=False)
+            assert np.array_equal(f.bits, expect), (name, block)
+
+
 def test_ps_minus_rejects_mismatched_selector():
     with pytest.raises(ValueError):
         ps_minus(make_family("field", 3), random_selector(5, 1))
 
 
-@pytest.mark.parametrize("name,kw", [
-    ("field", {}), ("dm", {"k": 1}), ("knuth", {"beta": 3}), ("kantor", {}),
-])
+@pytest.mark.parametrize("name,kw", FAMILIES)
 def test_ps_minus_bent_across_families(name, kw):
     Q = make_family(name, 3, **kw)
     for seed in range(6):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from spreadbent.field import field_ctx
-from spreadbent.quasifield import FieldFamily, make_family
+from spreadbent.quasifield import FieldFamily, PreQuasifield, make_family
 from spreadbent.spread import (
     INFINITY,
+    SPREAD_VERIFY_MAX_M,
     Point,
+    Spread,
     build_spread,
     dump_spread,
     point_from_index,
@@ -77,9 +79,21 @@ def test_verify_spread_passes(name, m, kw):
 
 
 def test_verify_guard():
-    S = build_spread(make_family("kantor", 9))
+    Q = make_family("kantor", 9)
+    with pytest.raises(ValueError, match="m = 9.*SPREAD_VERIFY_MAX_M"):
+        build_spread(Q)
     with pytest.raises(ValueError):
-        verify_spread(S)
+        verify_spread(Spread(Q, []))  # refused before any component is read
+
+
+def test_build_spread_checks_the_cap_before_any_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("mult_table built above the cap")
+
+    monkeypatch.setattr(PreQuasifield, "mult_table", refuse)
+    for name in ("field", "kantor"):
+        with pytest.raises(ValueError, match="SPREAD_VERIFY_MAX_M"):
+            build_spread(make_family(name, SPREAD_VERIFY_MAX_M + 1))
 
 
 def test_slope_of():
