@@ -338,10 +338,14 @@ def load_tt(path) -> TruthTable:
     with open(path) as fh:
         payload = "".join(line.strip() for line in fh
                           if line.strip() and not line.lstrip().startswith("#"))
-    raw = bytes.fromhex(payload)
+    try:
+        raw = bytes.fromhex(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a hex truth table ({exc})")
     size = len(raw) * 8
     n = size.bit_length() - 1
     if size == 0 or 1 << n != size:
-        raise ValueError(f"file holds {size} bits; need a power of two")
+        raise ValueError(f"{path}: file holds {size} bits; "
+                         f"need a power of two")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     return TruthTable._adopt(n, bits)

@@ -14,7 +14,8 @@ overrides the default field polynomial wherever a field is built.
 
 Exit codes: 0 success; 1 a verification, certification, or consistency check
 failed, or the command ran out of memory; 2 invalid parameters (diagnostic
-names the offending flag or value).
+names the offending flag or value) or a path that cannot be read or
+written (diagnostic names the path).
 """
 
 import argparse
@@ -61,6 +62,14 @@ def _hex_value(text: str) -> int:
         return int(text, 16)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a hex value")
+
+
+def _hex_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(t, 16) for t in text.split(",") if t]
+    except ValueError:
+        raise ValueError(f"{flag} needs comma-separated hex values, "
+                         f"got {text!r}")
 
 
 def _elem(v: int) -> str:
@@ -123,8 +132,7 @@ def _selector(text: str, m: int):
             raise ValueError(f"--g random:SEED needs an integer, got {rest!r}")
         return random_selector(m, seed), f"random:{seed}"
     if sep and kind == "support":
-        slopes = [int(t, 16) for t in rest.split(",") if t]
-        g = selector_from_support(m, slopes)
+        g = selector_from_support(m, _hex_list(rest, "--g"))
         return g, "support:" + ",".join(_elem(a) for a in g.support)
     raise ValueError("--g must be 'support:HEX,HEX,...' or 'random:SEED'")
 
@@ -179,6 +187,9 @@ def cmd_spread_verify(args) -> int:
 
 
 def cmd_poly_dickson_inv(args) -> int:
+    for flag, v, least in (("--m", args.m, 1), ("--k", args.k, 0)):
+        if v < least:
+            raise ValueError(f"{flag} {v} is below {least}")
     kprime = dickson_inverse_exponent(args.k, args.m)
     _emit({"command": "poly dickson-inv", "m": args.m, "k": args.k,
            "kprime": kprime, "order": (1 << (2 * args.m)) - 1})
@@ -187,8 +198,7 @@ def cmd_poly_dickson_inv(args) -> int:
 
 def cmd_poly_invert_linearized(args) -> int:
     ctx = field_ctx(args.m, args.modulus)
-    coeffs = [int(t, 16) for t in args.coeffs.split(",") if t]
-    L = LinearizedMap(ctx, coeffs)
+    L = LinearizedMap(ctx, _hex_list(args.coeffs, "--coeffs"))
     pairs = {"command": "poly invert-linearized", "m": args.m,
              "modulus": _elem(ctx.modulus),
              "input": ",".join(_elem(c) for c in L.coeffs)}
@@ -370,6 +380,11 @@ def main(argv=None) -> int:
         code = 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    except OSError as exc:
+        path = f": {exc.filename}" if exc.filename else ""
+        print(f"error: {_command(args)}: {exc.strerror or exc}{path}",
+              file=sys.stderr)
         code = 2
     except FormulaMismatchError as exc:
         print(f"error: {_command(args)}: {exc}", file=sys.stderr)

@@ -13,11 +13,11 @@ a + b*u, where u^2 = u + c for a base-field constant c of absolute trace 1
 
 Vectorized counterparts of the scalar operations (vmul, vinv, vpow, ...)
 operate on numpy integer arrays elementwise and are used by the exhaustive
-sweeps elsewhere in the package.  They run on lookup tables built on first
-use: zero-sentinel log/exp tables (zlog[0] points into a zero tail of zexp,
-so zexp[zlog[a] + zlog[b]] = a b with no special case for 0) and the
-Frobenius tables frob[j][a] = a^(2^j).  Every table is read-only, since
-field_ctx shares one context per field across the process.
+sweeps elsewhere in the package.  Both kinds read one zero-sentinel log/exp
+pair, built with the context (zlog[0] points into a zero tail of zexp, so
+zexp[zlog[a] + zlog[b]] = a b with no special case for 0); the Frobenius
+tables frob[j][a] = a^(2^j) are built on first use.  Every table is
+read-only, since field_ctx shares one context per field across the process.
 """
 
 from functools import cached_property, lru_cache
@@ -136,21 +136,24 @@ class FieldCtx:
 
         g = self._find_generator()
         self.generator = g
-        exp = np.zeros(2 * q1, dtype=np.int32)
+        # zexp: g^i over [0, 2(q-1)), then a zero tail; zlog: the discrete
+        # log as intp, with zlog[0] = 2(q-1) pointing into the tail
+        zexp = np.zeros(4 * q1 + 1, dtype=np.int32)
         t = 1
         for i in range(q1):
-            exp[i] = t
+            zexp[i] = t
             t = polymul_mod(t, g, modulus)
         if t != 1:
             raise ValueError(f"0x{modulus:x} is not a field modulus")
-        exp[q1:] = exp[:q1]
-        log = np.zeros(self.order, dtype=np.int32)
-        log[exp[:q1]] = np.arange(q1, dtype=np.int32)
-        self._exp = _frozen(exp)
-        self._log = _frozen(log)
+        zexp[q1:2 * q1] = zexp[:q1]
+        zlog = np.empty(self.order, dtype=np.intp)
+        zlog[zexp[:q1]] = np.arange(q1)
+        zlog[0] = 2 * q1
+        self.zexp = _frozen(zexp)
+        self.zlog = _frozen(zlog)
 
         inv = np.zeros(self.order, dtype=np.int32)
-        inv[1:] = exp[q1 - log[1:]]
+        inv[1:] = zexp[q1 - zlog[1:]]
         self._inv = _frozen(inv)
 
         # trace is F2-linear: fold it into a bit mask so that
@@ -190,7 +193,7 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+        return int(self.zexp[self.zlog[a] + self.zlog[b]])
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
@@ -205,7 +208,7 @@ class FieldCtx:
             raise ValueError("exponent must be nonnegative")
         if a == 0:
             return 1 if e == 0 else 0
-        return int(self._exp[int(self._log[a]) * (e % self._q1) % self._q1])
+        return int(self.zexp[int(self.zlog[a]) * (e % self._q1) % self._q1])
 
     def trace(self, a: int) -> int:
         """Absolute trace, as the integer 0 or 1."""
@@ -290,25 +293,7 @@ class FieldCtx:
         s0 = self.artin_schreier_root(c ^ ext.c)
         return (self.mul(x, s0), x)
 
-    # -- lookup tables, built on first use -----------------------------------
-
-    @cached_property
-    def zlog(self) -> np.ndarray:
-        """Discrete log with a zero sentinel, as intp: zlog[0] = 2(q-1).
-
-        A sum of two entries indexes zexp; any sum involving zlog[0] lands
-        in zexp's zero tail, so zexp[zlog[a] + zlog[b]] = a b for all a, b.
-        """
-        zlog = self._log.astype(np.intp)
-        zlog[0] = 2 * self._q1
-        return _frozen(zlog)
-
-    @cached_property
-    def zexp(self) -> np.ndarray:
-        """exp over [0, 2(q-1)) followed by a zero tail up to 4(q-1)."""
-        zexp = np.zeros(4 * self._q1 + 1, dtype=np.int32)
-        zexp[:2 * self._q1] = self._exp
-        return _frozen(zexp)
+    # -- Frobenius tables, built on first use --------------------------------
 
     @cached_property
     def frob(self) -> np.ndarray:
@@ -334,7 +319,7 @@ class FieldCtx:
             raise ValueError("exponent must be nonnegative")
         if e == 0:
             return np.ones_like(np.asarray(A), dtype=np.int32)
-        T = self._exp[(self._log.astype(np.int64) * (e % self._q1)) % self._q1]
+        T = self.zexp[self.zlog * (e % self._q1) % self._q1]
         T[0] = 0
         return T[A]
 
@@ -395,6 +380,10 @@ class ExtCtx:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _frozen_tables(*tables):
+    return tuple(_frozen(t) for t in tables)
 
 
 @lru_cache(maxsize=None)

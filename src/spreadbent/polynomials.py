@@ -8,19 +8,20 @@ forms for the parametric maps that the pre-quasifield division formulas are
 built from.  Each closed form is checked against the oracle: the
 combination-polynomial inverse at the point of construction (on
 disagreement construction fails loudly — the oracle, not the closed form,
-is the ground truth), the square-plus-trace inverse by the tests, which
-compose it with its forward map.
+is the ground truth), the square-plus-trace inverse (Kantor's division) by
+the tests, which compose it with its forward map, and by strict sweeps.
 
-Dickson polynomials D_k are evaluated through the root-power identity
-D_k(t + 1/t) = t^k + t^(-k) with t in GF(2^(2m)); the three-term recurrence
-serves as the oracle for moderate k.
+Dickson values, combination coefficients and the square-plus-trace inverse
+are each written once, over field elements or numpy arrays of them.  D_k
+comes from a doubling ladder; the three-term recurrence is its oracle.
 """
 
 import math
+from functools import cache
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, _frozen_tables
 
 
 class NotBijectiveError(ValueError):
@@ -147,7 +148,10 @@ DICKSON_RECURRENCE_MAX = 1 << 20
 
 def dickson_inverse_exponent(k: int, m: int) -> int:
     """k' with D_k' o D_k = identity on GF(2^m): the inverse of k
-    modulo 2^(2m) - 1.  Raises NotCoprimeError when gcd(k, 2^(2m)-1) > 1."""
+    modulo 2^(2m) - 1.  Raises NotCoprimeError when gcd(k, 2^(2m)-1) > 1,
+    and ValueError unless k >= 0 and m >= 1."""
+    if k < 0 or m < 1:
+        raise ValueError(f"need k >= 0 and m >= 1, got k={k}, m={m}")
     n = (1 << (2 * m)) - 1
     if math.gcd(k, n) != 1:
         raise NotCoprimeError(f"gcd({k}, 2^(2*{m})-1) != 1")
@@ -155,33 +159,20 @@ def dickson_inverse_exponent(k: int, m: int) -> int:
 
 
 def dickson_eval(ctx: FieldCtx, k: int, x):
-    """D_k(x) over GF(2^m) via the root-power identity in GF(2^(2m)).
-
-    For a numpy array x every value comes at once from the identity's
-    doubling ladder D_2n = D_n^2, D_2n+1 = D_n D_n+1 + x, which stays in
-    the base field.
-    """
+    """D_k(x) over GF(2^m), elementwise over a field element or an array,
+    by the doubling ladder D_2n = D_n^2, D_2n+1 = D_n D_n+1 + x on the
+    pair (D_n, D_n+1) from (D_0, D_1) = (0, x), along the bits of k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if isinstance(x, np.ndarray):
-        x = x.astype(np.int32)
-        lo, hi = np.zeros_like(x), x  # D_n, D_n+1 at n = 0
-        for bit in bin(k)[2:]:
-            cross = ctx.vmul(lo, hi) ^ x
-            if bit == "1":
-                lo, hi = cross, ctx.vsqr(hi)
-            else:
-                lo, hi = ctx.vsqr(lo), cross
-        return lo
-    if x == 0:
-        return 0  # in characteristic 2 every D_k vanishes at 0 (D_0 = 2 = 0)
-    ext = ctx.ext
-    t = ctx.solve_quadratic(x)
-    tk = ext.pow(t, k)
-    r = ext.add(tk, ext.inv(tk))
-    if r[1] != 0:
-        raise AssertionError("Dickson value escaped the base field")
-    return r[0]
+    x = np.asarray(x, dtype=np.int32)
+    lo, hi = np.zeros_like(x), x  # D_n, D_n+1 at n = 0
+    for bit in bin(k)[2:]:
+        cross = ctx.vmul(lo, hi) ^ x
+        if bit == "1":
+            lo, hi = cross, ctx.vsqr(hi)
+        else:
+            lo, hi = ctx.vsqr(lo), cross
+    return lo
 
 
 def dickson_eval_recurrence(ctx: FieldCtx, k: int, x: int) -> int:
@@ -225,10 +216,7 @@ def combo_coeffs(ctx: FieldCtx, r) -> list[int]:
     array of that coefficient over r.
     """
     m = ctx.m
-    if isinstance(r, np.ndarray):
-        frob = list(ctx.frob[:, r])
-    else:
-        frob = [ctx.pow(r, 1 << j) for j in range(m)]
+    frob = list(ctx.frob[:, r])
 
     def fsum(idxs):
         out = 0
@@ -286,31 +274,39 @@ def square_trace_map(ctx: FieldCtx, a: int) -> LinearizedMap:
     return LinearizedMap(ctx, coeffs)
 
 
-def square_trace_inverse_eval(ctx: FieldCtx, a: int, z: int) -> int:
-    """Evaluate the combined closed-form inverse of square_trace_map:
+@cache
+def _square_trace_tables(ctx: FieldCtx):
+    """square_trace_inverse_eval's q-entry tables, shared per field: logs of
+    br, z^h, p and c, and w = p + c s, so the t terms are one product."""
+    q, m = ctx.order, ctx.m
+    frob, zlog = ctx.frob, ctx.zlog
+    br = frob[m - 1].copy()
+    for i in range((m - 1) // 2 + 1):
+        br ^= frob[2 * i]
+    s = np.ones(q, dtype=np.int32)
+    for i in range((m - 3) // 2 + 1):
+        s ^= frob[2 * i]
+    e = np.arange(q)
+    p = ctx.vpow(e, (1 << (m - 1)) - 1)
+    c = ctx.vinv(e) * ctx.trace_table
+    return _frozen_tables(zlog[br], zlog[frob[m - 1]], zlog[p], zlog[c],
+                          p ^ ctx.vmul(c, s))
 
-        (tr(a)/a) [ (az)^(2^(m-1)) + sum_i (az)^(4^i) + T(a) tr(az) ]
-        + a^(2^(m-1)-1) z^(2^(m-1)) + a^(2^(m-1)-1) tr(az)
 
-    where the middle sum runs i = 0 .. (m-1)/2 and
-    T(a) = 1 + sum_(i <= (m-3)/2) a^(4^i).  Odd m.  Total in both
-    arguments (returns 0 for a = 0 or z = 0).
+def square_trace_inverse_eval(ctx: FieldCtx, a, z):
+    """The inverse of square_trace_map(ctx, a) at z (odd m), elementwise
+    over field elements or broadcastable arrays of them:
+
+        p(a) (z^h + t) + c(a) (br(az) + t s(a)),  t = tr(az),
+
+    with h = 2^(m-1), p(a) = a^(h-1), c(a) = tr(a)/a, br(v) = v^h +
+    sum_(i <= (m-1)/2) v^(4^i) and s(a) = 1 + sum_(i <= (m-3)/2) a^(4^i).
+    Total in both arguments (0 for a = 0 or z = 0).
     """
     if ctx.m % 2 == 0:
         raise ValueError("m must be odd")
-    m = ctx.m
-    h = 1 << (m - 1)
-    az = ctx.mul(a, z)
-    t_az = ctx.trace(az)
-    out = ctx.mul(ctx.pow(a, h - 1), ctx.pow(z, h) ^ t_az)
-    if ctx.trace(a):
-        br = ctx.pow(az, h)
-        for i in range((m - 1) // 2 + 1):
-            br ^= ctx.pow(az, 1 << (2 * i))
-        if t_az:
-            s = 1
-            for i in range((m - 3) // 2 + 1):
-                s ^= ctx.pow(a, 1 << (2 * i))
-            br ^= s
-        out ^= ctx.mul(ctx.inv(a), br)
-    return out
+    l_br, l_zh, l_p, l_c, w = _square_trace_tables(ctx)
+    zexp = ctx.zexp
+    az = zexp[ctx.zlog[a] + ctx.zlog[z]]
+    return (zexp[l_br[az] + l_c[a]] ^ ctx.trace_table[az] * w[a]
+            ^ zexp[l_zh[z] + l_p[a]])

@@ -15,7 +15,8 @@ it.  Division is available through two independent routes:
 * qdiv_formula — the closed form for each family, written once over
   field elements or broadcastable arrays of them.  Its terms in one
   element (Dickson values, combination coefficients, Frobenius powers,
-  ...) are q-entry tables (_closed_form), so a quotient is a few gathers.
+  ...) are q-entry tables (_closed_form; Kantor's are shared per field by
+  square_trace_inverse_eval), so a quotient is a few gathers.
   div_table_formula builds the whole table from it: for the
   pre-semifields (`linear`) y -> y // x is F2-linear, so the m basis rows
   y = 2^i determine the rest by XOR; dm's rows come a block at a time,
@@ -39,8 +40,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import FieldCtx, _frozen, field_ctx
-from .polynomials import combo_coeffs, dickson_eval, dickson_inverse_exponent
+from .field import FieldCtx, _frozen, _frozen_tables, field_ctx
+from .polynomials import (combo_coeffs, dickson_eval, dickson_inverse_exponent,
+                          square_trace_inverse_eval)
 
 STRICT_MAX_M = 7
 AXIOM_MAX_M = 8
@@ -216,10 +218,6 @@ class PreQuasifield:
                 f"division disagrees with the brute-force oracle")
 
 
-def _frozen_tables(*tables):
-    return tuple(_frozen(t) for t in tables)
-
-
 class FieldFamily(PreQuasifield):
     """The field itself: a <> x = a x, division is field division."""
 
@@ -366,9 +364,10 @@ class KnuthFamily(PreQuasifield):
 class KantorFamily(PreQuasifield):
     """a <> x = a^2 x + tr(a x) + a tr(x), odd m.
 
-    Division is the square-plus-trace inverse with the roles fixed as
-    parameter = x, argument = y (the multiplication is exactly that kernel
-    map in its left operand).
+    The multiplication is square_trace_map with parameter x applied to the
+    left operand, so division is its closed-form inverse:
+    y // x = square_trace_inverse_eval(ctx, x, y), whose q-entry tables
+    are shared by every Kantor instance over the field.
     """
 
     kind = "kantor"
@@ -384,36 +383,8 @@ class KantorFamily(PreQuasifield):
         return (ctx.vmul(ctx.vsqr(A), X) ^ ctx.vtrace(ctx.vmul(A, X))
                 ^ A * ctx.vtrace(X))
 
-    @cached_property
-    def _closed_form(self):
-        """Logs of br(v), y^h, p(x) and c(x), and w(x), for
-
-        y // x = p(x) (y^h + t) + c(x) (br(xy) + t s(x)) with t = tr(xy),
-        h = 2^(m-1), p(x) = x^(h-1), c(x) = tr(x)/x, br(v) = v^h +
-        sum_i v^(4^i) and s(x) = 1 + sum_i x^(4^i); the products are log
-        sums and the t terms one product t w(x), w(x) = p(x) + c(x) s(x).
-        """
-        ctx = self.ctx
-        q, m = ctx.order, ctx.m
-        frob, zlog = ctx.frob, ctx.zlog
-        br = frob[m - 1].copy()
-        for i in range((m - 1) // 2 + 1):
-            br ^= frob[2 * i]
-        s = np.ones(q, dtype=np.int32)
-        for i in range((m - 3) // 2 + 1):
-            s ^= frob[2 * i]
-        e = np.arange(q)
-        p = ctx.vpow(e, (1 << (m - 1)) - 1)
-        c = ctx.vinv(e) * ctx.trace_table
-        return _frozen_tables(zlog[br], zlog[frob[m - 1]], zlog[p], zlog[c],
-                              p ^ ctx.vmul(c, s))
-
     def qdiv_formula(self, y, x):
-        l_br, l_yh, l_p, l_c, w = self._closed_form
-        ctx = self.ctx
-        xy = ctx.zexp[ctx.zlog[y] + ctx.zlog[x]]
-        return (ctx.zexp[l_br[xy] + l_c[x]] ^ ctx.trace_table[xy] * w[x]
-                ^ ctx.zexp[l_yh[y] + l_p[x]])
+        return square_trace_inverse_eval(self.ctx, x, y)
 
 
 def make_family(name: str, m: int, *, k=None, beta=None, modulus=None,

@@ -241,6 +241,42 @@ def test_build_rejects_bad_selectors(tmp_path, capsys):
     assert run(base + ["--g", "everything"]) == 2           # bad shape
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["bent", "build", "--family", "field", "--m", "3", "--g", "support:zz",
+      "--out", "{tmp}/f.tt"], "--g"),
+    (["poly", "invert-linearized", "--m", "3", "--coeffs", "zz"], "--coeffs"),
+    (["bent", "verify", "--tt", "{tmp}/bad.tt"], "{tmp}/bad.tt"),
+    (["poly", "dickson-inv", "--m", "0", "--k", "5"], "--m"),
+    (["poly", "dickson-inv", "--m", "3", "--k", "-1"], "--k"),
+], ids=["g-support", "coeffs", "tt-not-hex", "dickson-m", "dickson-k"])
+def test_bad_values_name_their_flag(argv, named, tmp_path, capsys):
+    (tmp_path / "bad.tt").write_text("# m=3\nzz\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named.format(tmp=tmp_path) in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,command", [
+    (["bent", "build", "--family", "field", "--m", "3", "--g", "random:1",
+      "--out"], "bent build --m 3"),
+    (["spread", "verify", "--family", "field", "--m", "3", "--dump"],
+     "spread verify --m 3"),
+    (["bent", "verify", "--tt"], "bent verify"),
+], ids=["build-out", "spread-dump", "verify-tt"])
+def test_missing_directory_exits_two_naming_the_path(argv, command, tmp_path,
+                                                     capsys):
+    path = str(tmp_path / "missing" / "f.tt")
+    assert run(argv + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: {command}: No such file or directory: {path}"
+            in captured.err.splitlines())
+    assert "Traceback" not in captured.err
+
+
 def test_verify_non_bent_exits_one(tmp_path, capsys):
     from spreadbent.boolfun import TruthTable, save_tt
     path = tmp_path / "flat.tt"

@@ -155,7 +155,7 @@ def test_recurrence_matches_coefficient_form(m):
             assert dickson_eval_recurrence(ctx, k, x) == direct
 
 
-def test_root_power_eval_matches_recurrence():
+def test_ladder_eval_matches_recurrence():
     ctx = field_ctx(5)
     for k in range(101):
         for x in range(ctx.order):
@@ -176,6 +176,9 @@ def test_dickson_guards():
         dickson_eval_recurrence(ctx, -1, 1)
     with pytest.raises(ValueError):
         dickson_eval_recurrence(ctx, DICKSON_RECURRENCE_MAX + 1, 1)
+    for k, m in ((-1, 3), (5, 0), (1, -2)):
+        with pytest.raises(ValueError):
+            dickson_inverse_exponent(k, m)
 
 
 def test_inverse_exponent_examples():
@@ -296,13 +299,15 @@ def test_dickson_eval_over_an_array(m):
     import numpy as np
     ctx = field_ctx(m)
     E = np.arange(ctx.order)
-    for k in (0, 1, 2, 3, 7, 64, 12345, dickson_inverse_exponent(11, m)):
+    kp = dickson_inverse_exponent(11, m)
+    for k in (0, 1, 2, 3, 7, 64, 12345, kp):
         vals = dickson_eval(ctx, k, E)
         assert vals.dtype == np.int32
-        assert list(vals) == [dickson_eval(ctx, k, x) for x in range(ctx.order)]
-        if k <= 64:
+        if m < 7:  # the recurrence takes k steps per element (k <= 2^20)
             assert list(vals) == [dickson_eval_recurrence(ctx, k, x)
                                   for x in range(ctx.order)]
+    # D_k' o D_k is the identity on the whole field
+    assert np.array_equal(dickson_eval(ctx, kp, dickson_eval(ctx, 11, E)), E)
 
 
 @pytest.mark.parametrize("m", [3, 5, 9])

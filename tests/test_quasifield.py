@@ -12,6 +12,7 @@ import pytest
 from spreadbent.field import field_ctx
 from spreadbent.polynomials import (
     LinearizedMap,
+    _square_trace_tables,
     invert_linearized,
     square_trace_map,
 )
@@ -206,9 +207,11 @@ def test_mult_table_matches_scalar():
 
 
 def test_cached_family_tables_are_frozen():
-    # shared by the scalar and the whole-table division of the instance
+    # shared by the scalar and the whole-table division of the instance;
+    # Kantor's are shared by every instance over the field
     for Q in small_families(5):
-        tables = Q._closed_form
+        tables = (_square_trace_tables(Q.ctx) if Q.kind == "kantor"
+                  else Q._closed_form)
         for t in tables if isinstance(tables, tuple) else (tables,):
             assert not t.flags.writeable
     assert not make_family("dm", 5, k=3)._pow_e.flags.writeable
@@ -406,6 +409,22 @@ def test_div_table_matches_scalar_and_oracle_m13(name, params):
     for y, x in pairs + [[0, 5], [5, 0], [0, 0]]:
         assert D[y, x] == Q.qdiv_formula(y, x) == Q.qdiv_oracle(y, x)
         assert Q.qmul(Q.qdiv_formula(y, x), x) == (y if x else 0)
+
+
+M11 = [("field", {}), ("dm", {"k": 3}), ("knuth", {"beta": 0x5A5}),
+       ("kantor", {})]
+
+
+@pytest.mark.parametrize("name,params", M11, ids=[n for n, _ in M11])
+def test_division_round_trip_m11(name, params):
+    # the whole grid at the size of the n = 22 builds, through _mul alone:
+    # (y // x) <> x = y for every y and every x != 0, and y // 0 = 0
+    Q = make_family(name, 11, **params)
+    D = Q.div_table_formula()
+    e = np.arange(Q.ctx.order, dtype=np.int32)
+    back = Q._mul(D[:, 1:], e[1:])
+    assert np.array_equal(back, np.broadcast_to(e[:, None], back.shape))
+    assert not D[:, 0].any()
 
 
 def test_qmul_matches_mult_table_m11():
