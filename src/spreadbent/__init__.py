@@ -15,13 +15,11 @@ from .polynomials import (
     LinearizedMap,
     NotBijectiveError,
     NotCoprimeError,
-    FormulaMismatchError,
     eval_linearized,
     invert_linearized,
     dickson_eval,
     dickson_inverse_exponent,
     quad_trace_map,
-    quad_trace_inverse,
     square_trace_map,
     square_trace_inverse_eval,
 )
@@ -75,9 +73,9 @@ __all__ = [
     "FieldCtx", "ExtCtx", "field_ctx", "default_modulus", "is_irreducible",
     # polynomials
     "LinearizedMap", "NotBijectiveError", "NotCoprimeError",
-    "FormulaMismatchError", "eval_linearized", "invert_linearized",
-    "dickson_eval", "dickson_inverse_exponent", "quad_trace_map",
-    "quad_trace_inverse", "square_trace_map", "square_trace_inverse_eval",
+    "eval_linearized", "invert_linearized", "dickson_eval",
+    "dickson_inverse_exponent", "quad_trace_map", "square_trace_map",
+    "square_trace_inverse_eval",
     # quasifield families
     "AxiomReport", "ConsistencyError", "PreQuasifield", "FieldFamily",
     "DempwolffMullerFamily", "KnuthFamily", "KantorFamily", "FAMILY_NAMES",

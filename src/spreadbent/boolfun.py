@@ -239,18 +239,11 @@ def is_bent(tt: TruthTable, spectrum=None) -> bool:
                for i in range(0, s.size, BLOCK))
 
 
-def mobius_transform(bits: np.ndarray) -> np.ndarray:
-    """XOR-butterfly Mobius transform (an involution): truth table <-> ANF
-    coefficient vector, of 2^n entries."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    return np.unpackbits(_anf_words(bits).view(np.uint8), count=bits.size,
-                         bitorder="little")
-
-
 def anf(tt: TruthTable) -> np.ndarray:
-    """ANF coefficients: entry S is 1 iff the monomial prod_{i in S} x_i
-    appears in f."""
-    return mobius_transform(tt.bits)
+    """ANF coefficients, by the Mobius transform (an involution): entry S
+    is 1 iff the monomial prod_{i in S} x_i appears in f."""
+    return np.unpackbits(_anf_words(tt.bits).view(np.uint8),
+                         count=tt.bits.size, bitorder="little")
 
 
 def degree(tt: TruthTable) -> int:

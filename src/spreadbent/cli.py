@@ -19,6 +19,8 @@ written (diagnostic names the path).
 """
 
 import argparse
+import errno
+import os
 import sys
 import time
 
@@ -45,14 +47,13 @@ from .construct import (
 )
 from .field import field_ctx
 from .polynomials import (
-    FormulaMismatchError,
     LinearizedMap,
     NotBijectiveError,
     dickson_inverse_exponent,
     invert_linearized,
 )
 from .quasifield import AXIOM_MAX_M, ConsistencyError, make_family, verify_axioms
-from .spread import SPREAD_VERIFY_MAX_M, build_spread, dump_spread, verify_spread
+from .spread import build_spread, dump_spread, verify_spread
 
 import numpy as np
 
@@ -91,9 +92,14 @@ def _check_m(args, cap: int, what: str):
 
 
 def _command(args) -> str:
-    """The command and its --m, as an error message names them."""
-    m = getattr(args, "m", None)
-    return f"{args.group} {args.action}" + ("" if m is None else f" --m {m}")
+    """The command and its --m, --k and --beta, as an error message names
+    them."""
+    out = f"{args.group} {args.action}"
+    for flag, show in (("m", str), ("k", str), ("beta", _elem)):
+        v = getattr(args, flag, None)
+        if v is not None:
+            out += f" --{flag} {show(v)}"
+    return out
 
 
 def _stopwatch():
@@ -170,8 +176,7 @@ def cmd_qf_divide(args) -> int:
 
 
 def cmd_spread_verify(args) -> int:
-    _check_m(args, SPREAD_VERIFY_MAX_M,
-             "that the exhaustive spread sweep covers")
+    _check_m(args, AXIOM_MAX_M, "that the exhaustive spread sweep covers")
     Q = _family(args)
     S = build_spread(Q)
     report = verify_spread(S)
@@ -215,6 +220,10 @@ def cmd_poly_invert_linearized(args) -> int:
 def cmd_bent_build(args) -> int:
     _check_m(args, MAX_N // 2,
              f"for a truth table on n = 2m <= {MAX_N} variables")
+    # a missing output directory is reported before any of the work
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                args.out)
     lap = _stopwatch()
     Q = _family(args)
     g, g_echo = _selector(args.g, args.m)
@@ -379,16 +388,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_command(args)}: {exc}", file=sys.stderr)
         code = 2
     except OSError as exc:
         path = f": {exc.filename}" if exc.filename else ""
         print(f"error: {_command(args)}: {exc.strerror or exc}{path}",
               file=sys.stderr)
         code = 2
-    except FormulaMismatchError as exc:
-        print(f"error: {_command(args)}: {exc}", file=sys.stderr)
-        code = 1
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""
         print(f"error: {_command(args)}: out of memory{detail}",

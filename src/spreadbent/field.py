@@ -14,13 +14,16 @@ a + b*u, where u^2 = u + c for a base-field constant c of absolute trace 1
 Vectorized counterparts of the scalar operations (vmul, vinv, vpow, ...)
 operate on numpy integer arrays elementwise and are used by the exhaustive
 sweeps elsewhere in the package.  Both kinds read one zero-sentinel log/exp
-pair, built with the context (zlog[0] points into a zero tail of zexp, so
-zexp[zlog[a] + zlog[b]] = a b with no special case for 0); the Frobenius
-tables frob[j][a] = a^(2^j) are built on first use.  Every table is
-read-only, since field_ctx shares one context per field across the process.
+pair (zlog[0] points into a zero tail of zexp, so zexp[zlog[a] + zlog[b]] =
+a b with no special case for 0).  The context builds every table from the
+one before: zexp from the generator, the least g whose powers fill all
+2^m - 1 nonzero slots before they return to 1; the Frobenius tables
+frob[j][a] = a^(2^j) from zexp and zlog; the trace table as the XOR of the
+Frobenius rows.  Every table is read-only, since field_ctx shares one
+context per field across the process.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,16 +64,6 @@ def polygcd(a: int, b: int) -> int:
     return a
 
 
-def _polypow_mod(a: int, e: int, mod: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = polymul_mod(r, a, mod)
-        a = polymul_mod(a, a, mod)
-        e >>= 1
-    return r
-
-
 def is_irreducible(mod: int) -> bool:
     """Irreducibility of a binary polynomial of degree m >= 1.
 
@@ -97,20 +90,6 @@ def default_modulus(m: int) -> int:
     raise ValueError(f"no irreducible polynomial of degree {m}")  # unreachable
 
 
-def _prime_factors(n: int) -> list[int]:
-    fs = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            fs.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        fs.append(n)
-    return fs
-
-
 # ---------------------------------------------------------------------------
 # base field context
 
@@ -134,17 +113,19 @@ class FieldCtx:
         q1 = self.order - 1
         self._q1 = q1
 
-        g = self._find_generator()
+        # the generator: the least g of multiplicative order q - 1
+        for g in range(2, self.order):
+            powers, t = [1], g
+            while t != 1:
+                powers.append(t)
+                t = polymul_mod(t, g, modulus)
+            if len(powers) == q1:
+                break
         self.generator = g
         # zexp: g^i over [0, 2(q-1)), then a zero tail; zlog: the discrete
         # log as intp, with zlog[0] = 2(q-1) pointing into the tail
         zexp = np.zeros(4 * q1 + 1, dtype=np.int32)
-        t = 1
-        for i in range(q1):
-            zexp[i] = t
-            t = polymul_mod(t, g, modulus)
-        if t != 1:
-            raise ValueError(f"0x{modulus:x} is not a field modulus")
+        zexp[:q1] = powers
         zexp[q1:2 * q1] = zexp[:q1]
         zlog = np.empty(self.order, dtype=np.intp)
         zlog[zexp[:q1]] = np.arange(q1)
@@ -156,39 +137,20 @@ class FieldCtx:
         inv[1:] = zexp[q1 - zlog[1:]]
         self._inv = _frozen(inv)
 
-        # trace is F2-linear: fold it into a bit mask so that
-        # trace(a) = parity(popcount(a & mask))
-        mask = 0
-        for i in range(m):
-            t, s = 0, 1 << i
-            for _ in range(m):
-                t ^= s
-                s = polymul_mod(s, s, modulus)
-            if t not in (0, 1):
-                raise AssertionError("trace of a basis element must be 0 or 1")
-            if t:
-                mask |= 1 << i
-        self._trace_mask = mask
-        tr = np.bitwise_count(np.arange(self.order, dtype=np.uint32)
-                              & np.uint32(mask)).astype(np.uint8) & 1
-        self.trace_table = _frozen(tr)
+        F = np.empty((m, self.order), dtype=np.int32)
+        F[0] = np.arange(self.order)
+        for j in range(1, m):
+            F[j] = self.vmul(F[j - 1], F[j - 1])
+        self.frob = _frozen(F)  # frob[j][a] = a^(2^j), shape (m, 2^m)
+        # tr(a) = a + a^2 + ... + a^(2^(m-1)), which lies in {0, 1}
+        self.trace_table = _frozen(
+            np.bitwise_xor.reduce(F, axis=0).astype(np.uint8))
         self._ext = None
-
-    def _find_generator(self) -> int:
-        q1 = self._q1
-        cofactors = [q1 // p for p in _prime_factors(q1)]
-        for g in range(2, self.order):
-            if all(_polypow_mod(g, cf, self.modulus) != 1 for cf in cofactors):
-                return g
-        raise AssertionError("no generator found")  # unreachable for a field
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus=0x{self.modulus:x})"
 
     # -- scalar operations --------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -213,10 +175,6 @@ class FieldCtx:
     def trace(self, a: int) -> int:
         """Absolute trace, as the integer 0 or 1."""
         return int(self.trace_table[a])
-
-    def sqrt(self, a: int) -> int:
-        """The unique square root: a**(2^(m-1))."""
-        return self.pow(a, 1 << (self.m - 1))
 
     def half_trace(self, a: int) -> int:
         """Sum of the even Frobenius powers a^(2^(2i)), 0 <= 2i < m.
@@ -292,17 +250,6 @@ class FieldCtx:
         ext = self.ext
         s0 = self.artin_schreier_root(c ^ ext.c)
         return (self.mul(x, s0), x)
-
-    # -- Frobenius tables, built on first use --------------------------------
-
-    @cached_property
-    def frob(self) -> np.ndarray:
-        """frob[j][a] = a^(2^j) for 0 <= j < m, shape (m, 2^m), int32."""
-        F = np.empty((self.m, self.order), dtype=np.int32)
-        F[0] = np.arange(self.order)
-        for j in range(1, self.m):
-            F[j] = self.vmul(F[j - 1], F[j - 1])
-        return _frozen(F)
 
     # -- vectorized operations (numpy int arrays of elements) ----------------
 

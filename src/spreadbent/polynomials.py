@@ -5,11 +5,10 @@ field, stored by its coefficient list [c_0 .. c_(m-1)].  Inversion comes in
 two independent flavours: a generic matrix oracle (binary Gaussian
 elimination, then interpolation back to linearized coefficients), and closed
 forms for the parametric maps that the pre-quasifield division formulas are
-built from.  Each closed form is checked against the oracle: the
-combination-polynomial inverse at the point of construction (on
-disagreement construction fails loudly — the oracle, not the closed form,
-is the ground truth), the square-plus-trace inverse (Kantor's division) by
-the tests, which compose it with its forward map, and by strict sweeps.
+built from.  The closed forms are checked against the oracle by the tests,
+which compose them with their forward maps (quad_trace_map for the
+combination polynomial behind Knuth's division, square_trace_map for the
+square-plus-trace inverse behind Kantor's), and by the strict sweeps.
 
 Dickson values, combination coefficients and the square-plus-trace inverse
 are each written once, over field elements or numpy arrays of them.  D_k
@@ -30,10 +29,6 @@ class NotBijectiveError(ValueError):
 
 class NotCoprimeError(ValueError):
     """The Dickson exponent is not coprime to 2^(2m) - 1."""
-
-
-class FormulaMismatchError(RuntimeError):
-    """A closed-form inverse disagrees with the matrix oracle."""
 
 
 class LinearizedMap:
@@ -61,13 +56,6 @@ class LinearizedMap:
         """Column-bit-vector form: matrix()[j] is the image of the basis
         element 1 << j, so bit i of matrix()[j] is entry (i, j)."""
         return [self(1 << j) for j in range(self.ctx.m)]
-
-    def is_bijective(self) -> bool:
-        try:
-            invert_linearized(self)
-        except NotBijectiveError:
-            return False
-        return True
 
 
 def eval_linearized(ctx: FieldCtx, coeffs, z: int) -> int:
@@ -212,6 +200,11 @@ def combo_coeffs(ctx: FieldCtx, r) -> list[int]:
     then even j in (i, m-1], plus the constant 1; for even i > 0 it is even
     j < i then odd j in (i, m-2].
 
+    For odd m, a != 0 and r = 1/a with tr(r) = 1 (exactly when
+    quad_trace_map(ctx, a) is a permutation), its inverse is
+    r C(z) + r tr(r z): the linearized map with coefficients
+    r (c_i + r^(2^i)).
+
     r may also be a numpy array of parameters; each coefficient is then the
     array of that coefficient over r.
     """
@@ -239,28 +232,6 @@ def quad_trace_map(ctx: FieldCtx, a: int) -> LinearizedMap:
     coeffs[0] ^= a
     coeffs[1] ^= ctx.sqr(a)
     return LinearizedMap(ctx, coeffs)
-
-
-def quad_trace_inverse(ctx: FieldCtx, a: int) -> LinearizedMap:
-    """Closed-form inverse of z -> a z + a^2 z^2 + tr(z), validated against
-    the matrix oracle at construction: r C(z) + r tr(r z) with r = 1/a and
-    C the combination polynomial, folded into one LinearizedMap.
-
-    Requires odd m, a != 0 and tr(1/a) = 1 (the map is a permutation exactly
-    then).  FormulaMismatchError if the closed form misses the oracle.
-    """
-    if ctx.m % 2 == 0:
-        raise ValueError("m must be odd")
-    r = ctx.inv(a)
-    if a == 0 or ctx.trace(r) != 1:
-        raise ValueError("need a != 0 with tr(1/a) = 1")
-    full = [ctx.mul(r, c ^ ctx.pow(r, 1 << i))
-            for i, c in enumerate(combo_coeffs(ctx, r))]
-    if full != invert_linearized(quad_trace_map(ctx, a)).coeffs:
-        raise FormulaMismatchError(
-            f"the combination polynomial misses the matrix inverse "
-            f"(m={ctx.m}, a=0x{a:x})")
-    return LinearizedMap(ctx, full)
 
 
 # ---------------------------------------------------------------------------

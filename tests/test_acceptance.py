@@ -24,9 +24,10 @@ from spreadbent.construct import (
 )
 from spreadbent.field import field_ctx
 from spreadbent.polynomials import (
+    LinearizedMap,
+    combo_coeffs,
     dickson_eval,
     dickson_inverse_exponent,
-    quad_trace_inverse,
     quad_trace_map,
     square_trace_inverse_eval,
     square_trace_map,
@@ -127,7 +128,11 @@ def test_criterion_3_kernel_inverses():
             assert len(valid) == 1 << (m - 1)
             for a in valid:
                 forward = quad_trace_map(ctx, a)
-                backward = quad_trace_inverse(ctx, a)
+                # r C(z) + r tr(r z), r = 1/a, C the combination polynomial
+                r = ctx.inv(a)
+                backward = LinearizedMap(ctx, [
+                    ctx.mul(r, c ^ ctx.pow(r, 1 << i))
+                    for i, c in enumerate(combo_coeffs(ctx, r))])
                 for z in range(1 << m):
                     assert backward(forward(z)) == z
         # square-trace map, every nonzero a

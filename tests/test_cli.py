@@ -10,8 +10,7 @@ import pytest
 from spreadbent import __version__
 from spreadbent.boolfun import anf, degree, load_tt
 from spreadbent.cli import main
-from spreadbent.polynomials import FormulaMismatchError
-from spreadbent.quasifield import make_family
+from spreadbent.quasifield import ConsistencyError, make_family
 
 
 def run(argv):
@@ -248,7 +247,12 @@ def test_build_rejects_bad_selectors(tmp_path, capsys):
     (["bent", "verify", "--tt", "{tmp}/bad.tt"], "{tmp}/bad.tt"),
     (["poly", "dickson-inv", "--m", "0", "--k", "5"], "--m"),
     (["poly", "dickson-inv", "--m", "3", "--k", "-1"], "--k"),
-], ids=["g-support", "coeffs", "tt-not-hex", "dickson-m", "dickson-k"])
+    (["qf", "verify", "--family", "dm", "--m", "5", "--k", "2"],
+     "error: qf verify --m 5 --k 2: "),
+    (["poly", "invert-linearized", "--m", "1", "--coeffs", "1"],
+     "error: poly invert-linearized --m 1: "),
+], ids=["g-support", "coeffs", "tt-not-hex", "dickson-m", "dickson-k",
+        "dm-k", "field-m"])
 def test_bad_values_name_their_flag(argv, named, tmp_path, capsys):
     (tmp_path / "bad.tt").write_text("# m=3\nzz\n")
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -275,6 +279,8 @@ def test_missing_directory_exits_two_naming_the_path(argv, command, tmp_path,
     assert (f"error: {command}: No such file or directory: {path}"
             in captured.err.splitlines())
     assert "Traceback" not in captured.err
+    # the path is checked before the family is built
+    assert "elapsed_ms.table" not in captured.err
 
 
 def test_verify_non_bent_exits_one(tmp_path, capsys):
@@ -342,11 +348,13 @@ def test_identical_argv_gives_byte_identical_output(tmp_path):
     argv = [sys.executable, "-m", "spreadbent.cli", "bent", "build",
             "--family", "knuth", "--m", "5", "--beta", "3",
             "--g", "random:11"]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     outs, files = [], []
     for name in ("a.tt", "b.tt"):
         path = tmp_path / name
         r = subprocess.run(argv + ["--out", str(path)],
-                           capture_output=True, check=True)
+                           capture_output=True, check=True, env=env)
         outs.append(r.stdout.replace(name.encode(), b"X.tt"))
         files.append(path.read_bytes())
     assert outs[0] == outs[1]
@@ -475,6 +483,68 @@ def test_build_reproduces_pinned_output(key, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(data).hexdigest() == sha
 
 
+# stdout of `qf verify` and `spread verify` at m = 5, pinned from the
+# implementation that checked the additive group and the counting identity
+# (2^m + 1)(2^m - 1) + 1 = 2^(2m) in the sweeps
+GOLDEN_VERIFY = {
+    "qf-field": (
+        ["qf", "verify", "--family", "field", "--m", "5"],
+        "additive_group=true\ncommand=qf verify\ndivision_consistent=true\n"
+        "family=field\nleft_bijective=true\nleft_distributive=true\nm=5\n"
+        "modulus=0x25\npassed=true\npre_semifield=true\n"
+        "right_bijective=true\nright_distributive=true\nzero_law=true\n"),
+    "qf-dm": (
+        ["qf", "verify", "--family", "dm", "--m", "5", "--k", "3"],
+        "additive_group=true\ncommand=qf verify\nd=877\n"
+        "division_consistent=true\ne=11\nfamily=dm\nk=3\n"
+        "left_bijective=true\nleft_distributive=true\nm=5\nmodulus=0x25\n"
+        "passed=true\npre_semifield=false\nright_bijective=true\n"
+        "right_distributive=false\nzero_law=true\n"),
+    "qf-knuth": (
+        ["qf", "verify", "--family", "knuth", "--m", "5", "--beta", "3"],
+        "additive_group=true\nbeta=0x3\ncommand=qf verify\n"
+        "division_consistent=true\nfamily=knuth\nleft_bijective=true\n"
+        "left_distributive=true\nm=5\nmodulus=0x25\npassed=true\n"
+        "pre_semifield=true\nright_bijective=true\n"
+        "right_distributive=true\nzero_law=true\n"),
+    "qf-kantor": (
+        ["qf", "verify", "--family", "kantor", "--m", "5"],
+        "additive_group=true\ncommand=qf verify\ndivision_consistent=true\n"
+        "family=kantor\nleft_bijective=true\nleft_distributive=true\nm=5\n"
+        "modulus=0x25\npassed=true\npre_semifield=true\n"
+        "right_bijective=true\nright_distributive=true\nzero_law=true\n"),
+    "spread-field": (
+        ["spread", "verify", "--family", "field", "--m", "5"],
+        "command=spread verify\ncomponent_count=33\ncomponents_closed=33\n"
+        "counting_identity=true\ncovers_space=true\nfamily=field\nm=5\n"
+        "modulus=0x25\npairwise_trivial=true\npassed=true\nsizes_ok=true\n"),
+    "spread-dm": (
+        ["spread", "verify", "--family", "dm", "--m", "5", "--k", "3"],
+        "command=spread verify\ncomponent_count=33\ncomponents_closed=33\n"
+        "counting_identity=true\ncovers_space=true\nd=877\ne=11\n"
+        "family=dm\nk=3\nm=5\nmodulus=0x25\npairwise_trivial=true\n"
+        "passed=true\nsizes_ok=true\n"),
+    "spread-knuth": (
+        ["spread", "verify", "--family", "knuth", "--m", "5", "--beta", "3"],
+        "beta=0x3\ncommand=spread verify\ncomponent_count=33\n"
+        "components_closed=33\ncounting_identity=true\ncovers_space=true\n"
+        "family=knuth\nm=5\nmodulus=0x25\npairwise_trivial=true\n"
+        "passed=true\nsizes_ok=true\n"),
+    "spread-kantor": (
+        ["spread", "verify", "--family", "kantor", "--m", "5"],
+        "command=spread verify\ncomponent_count=33\ncomponents_closed=33\n"
+        "counting_identity=true\ncovers_space=true\nfamily=kantor\nm=5\n"
+        "modulus=0x25\npairwise_trivial=true\npassed=true\nsizes_ok=true\n"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_VERIFY))
+def test_verify_reproduces_pinned_output(key, capsys):
+    argv, stdout = GOLDEN_VERIFY[key]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_build_runs_one_walsh_transform(tmp_path, monkeypatch, capsys):
     import spreadbent.boolfun as boolfun
     import spreadbent.cli as cli
@@ -582,15 +652,13 @@ def test_timing_goes_to_stderr(capsys):
 
 
 @pytest.mark.parametrize("exc,message", [
-    (FormulaMismatchError("the combination polynomial misses the matrix "
-                          "inverse (m=5, a=0x3)"),
-     "error: qf verify --m 5: the combination polynomial misses the matrix "
-     "inverse (m=5, a=0x3)\n"),
+    (ConsistencyError("kantor: 2 solutions of a <> 0x1 = 0x1"),
+     "error: kantor: 2 solutions of a <> 0x1 = 0x1\n"),
     (MemoryError("Unable to allocate 256. MiB for an array"),
      "error: qf verify --m 5: out of memory (Unable to allocate 256. MiB for "
      "an array)\n"),
     (MemoryError(), "error: qf verify --m 5: out of memory\n"),
-], ids=["formula-mismatch", "memory", "memory-bare"])
+], ids=["consistency", "memory", "memory-bare"])
 def test_library_errors_exit_one_without_traceback(exc, message, monkeypatch,
                                                    capsys):
     import spreadbent.cli as cli

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -69,7 +70,7 @@ def test_m3_pinned_values():
     assert f.inv(0b010) == 0b101
     assert f.pow(0b010, 3) == 0b011
     assert f.trace(0b010) == 0
-    assert f.sqrt(0b100) == f.pow(0b100, 4) == 0b010
+    assert f.frob[2][0b100] == f.pow(0b100, 4) == 0b010  # the square root
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -152,9 +153,10 @@ def test_trace_properties(m):
 @pytest.mark.parametrize("m", range(2, 10))
 def test_sqrt_is_square_root(m):
     f = field_ctx(m)
+    sqrt = f.frob[m - 1]  # a^(2^(m-1)), the unique square root
     for a in range(f.order):
-        assert f.sqr(f.sqrt(a)) == a
-        assert f.sqrt(f.sqr(a)) == a
+        assert f.sqr(int(sqrt[a])) == a
+        assert sqrt[f.sqr(a)] == a
 
 
 @pytest.mark.parametrize("m", range(2, 10))
@@ -267,14 +269,9 @@ def test_shared_tables_are_frozen():
     assert f.mul(3, 7) == FieldCtx(5).mul(3, 7)  # nothing was written
 
 
-def test_lookup_tables_are_built_on_first_use():
-    # zlog/zexp come with the context; only the Frobenius tables wait
+def test_lookup_tables_are_built_with_the_context():
     f = FieldCtx(7)
-    assert {"zlog", "zexp"} <= set(vars(f)) and "frob" not in vars(f)
-    f.vmul(np.arange(4), np.arange(4))
-    assert "frob" not in vars(f)
-    f.vsqr(np.arange(4))
-    assert "frob" in vars(f)
+    assert {"zlog", "zexp", "_inv", "frob", "trace_table"} <= set(vars(f))
 
 
 @pytest.mark.parametrize("m", [2, 3, 6])
@@ -295,3 +292,42 @@ def test_frobenius_tables(m):
     assert f.frob.shape == (m, f.order) and f.frob.dtype == np.int32
     for j in range(m):
         assert list(f.frob[j]) == [f.pow(a, 1 << j) for a in range(f.order)]
+
+
+def _table_digest(f):
+    h = hashlib.sha256()
+    for name in ("zexp", "zlog", "_inv", "trace_table", "frob"):
+        t = getattr(f, name)
+        h.update(f"{name} {t.dtype.str} {t.shape}\n".encode())
+        h.update(t.tobytes())
+    return h.hexdigest()
+
+
+# (m, modulus) -> (generator, sha256 of zexp, zlog, _inv, trace_table and
+# frob with their dtypes and shapes), as the tables were first built: the
+# generator from the prime factors of 2^m - 1, the trace from a basis mask
+PINNED_TABLES = {
+    (2, None): (2, "bfb6dff3af107f8fbbcc7d9a1fba35fcd951bfafb573a6124bd61b1e99019781"),
+    (3, None): (2, "b678edb2862c59004574ea1191777a24428536750e5d8561dd6660912e04e1e7"),
+    (4, None): (2, "de3a8cfef9b55cdd24749aa44da79ffd096e06b8cbc68011c2280b8c520a3960"),
+    (5, None): (2, "566fe0975fc0312cb5c4bc489a08bbcd193fd866e2b3f8996226070986e9fc4e"),
+    (6, None): (2, "2a4352b4a9381da51450f887a8416937134760e112e202e1d678b55a472f6c4c"),
+    (7, None): (2, "8b8280973744a31ae76612c7897bc28eb24708639e79c5ec15ba5fc6af617e18"),
+    (8, None): (3, "72bca20a4fc8c202853f1b520d9d0288fd88d3f0accaa330b425ea3cdeba53c7"),
+    (9, None): (7, "059c8c0a39c0fec2d464f54e4cc8486f011204449b8ee85387e33ab971e3471d"),
+    (10, None): (2, "694cc1158ce4b8a5d3bf36dbfc57f3c594ff04954fd4fb6bf7bbbced148f6326"),
+    (11, None): (2, "e6ec276855ef6eaeddd08d9c838bf8d6c536536e8c25d87bb62fcc8da9ffaf14"),
+    (12, None): (3, "8c30491d06a887df9ed367bb319ba7b0bfcb90c5d42b5344e3a77eb6712ca089"),
+    (13, None): (2, "8e663c0892b702b2ed0d74c1a749055737b132354ac4fd0ed2eab220490c2a42"),
+    (14, None): (7, "6767d3fa74ba69f85273071e10e93afc3cff9dc6f58e24758e0acdc9fb364c55"),
+    (15, None): (2, "39d7473491ac3523ecfa5ee03ed4676d39f6731aaaedb28ec5db481457350ba1"),
+    (16, None): (3, "792642961b74cd98217ea8c75a26a9d934d5324ab2cfef16c041c524419b9940"),
+    (3, 0xd): (2, "dc2e0c65196b5e26b0fcf4a71b543728f8cf22c82c967d14f6e00eec8e1d533d"),
+    (9, 0x301): (7, "9d4284770fd242274949a4121c8baa1a49f35b531c9b55bd7e5fb45291919da6"),
+}
+
+
+@pytest.mark.parametrize("m,modulus", PINNED_TABLES)
+def test_tables_match_pinned_digests(m, modulus):
+    f = FieldCtx(m, modulus)
+    assert (f.generator, _table_digest(f)) == PINNED_TABLES[m, modulus]

@@ -11,7 +11,6 @@ import pytest
 from spreadbent.field import field_ctx
 from spreadbent.polynomials import (
     DICKSON_RECURRENCE_MAX,
-    FormulaMismatchError,
     LinearizedMap,
     NotBijectiveError,
     NotCoprimeError,
@@ -22,7 +21,6 @@ from spreadbent.polynomials import (
     dickson_inverse_exponent,
     eval_linearized,
     invert_linearized,
-    quad_trace_inverse,
     quad_trace_map,
     square_trace_inverse_eval,
     square_trace_map,
@@ -50,13 +48,12 @@ def test_frobenius_inverse_is_sqrt():
         expected = [0] * m
         expected[m - 1] = 1
         assert inv.coeffs == expected
-        assert all(inv(z) == ctx.sqrt(z) for z in range(ctx.order))
+        assert all(inv(z) == ctx.frob[m - 1][z] for z in range(ctx.order))
 
 
 def test_trace_map_is_singular():
     ctx = field_ctx(5)
     tr = LinearizedMap(ctx, [1] * 5)
-    assert not tr.is_bijective()
     with pytest.raises(NotBijectiveError):
         invert_linearized(tr)
 
@@ -126,7 +123,12 @@ def test_singular_detection_matches_image_size():
         coeffs = [rng.randrange(ctx.order) for _ in range(4)]
         L = LinearizedMap(ctx, coeffs)
         bijective = len({L(z) for z in range(ctx.order)}) == ctx.order
-        assert L.is_bijective() == bijective
+        try:
+            invert_linearized(L)
+        except NotBijectiveError:
+            assert not bijective
+        else:
+            assert bijective
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +215,14 @@ def test_dickson_permutation_roundtrip(m, k):
 # combination polynomial and the quadratic-plus-trace inverse
 
 
+def combo_inverse(ctx, a):
+    """The inverse of quad_trace_map(ctx, a) that combo_coeffs gives:
+    r C(z) + r tr(r z) with r = 1/a, as coefficients r (c_i + r^(2^i))."""
+    r = ctx.inv(a)
+    return LinearizedMap(ctx, [ctx.mul(r, c ^ ctx.pow(r, 1 << i))
+                               for i, c in enumerate(combo_coeffs(ctx, r))])
+
+
 def test_combo_coeffs_pinned_m3():
     ctx = field_ctx(3)
     r = 1
@@ -223,39 +233,25 @@ def test_quad_trace_map_pinned_m3():
     ctx = field_ctx(3)
     # a = 1: z + z^2 + tr(z) collapses to z^4
     assert quad_trace_map(ctx, 1).coeffs == [0, 0, 1]
-    inv = quad_trace_inverse(ctx, 1)
-    assert inv.coeffs == [0, 1, 0]  # z^2, the inverse of z^4
+    assert combo_inverse(ctx, 1).coeffs == [0, 1, 0]  # z^2, inverting z^4
 
 
 @pytest.mark.parametrize("m", [3, 5, 7, 9])
 def test_quad_trace_inverse_composes(m):
+    # the map is a permutation exactly when tr(1/a) = 1, and then the
+    # combination polynomial's inverse is the matrix oracle's, coefficient
+    # for coefficient
     ctx = field_ctx(m)
     for a in range(1, ctx.order):
-        if ctx.trace(ctx.inv(a)) != 1:
-            with pytest.raises(ValueError):
-                quad_trace_inverse(ctx, a)
-            continue
-        inv = quad_trace_inverse(ctx, a)
         L = quad_trace_map(ctx, a)
+        if ctx.trace(ctx.inv(a)) != 1:
+            with pytest.raises(NotBijectiveError):
+                invert_linearized(L)
+            continue
+        inv = combo_inverse(ctx, a)
+        assert inv.coeffs == invert_linearized(L).coeffs
         for z in range(ctx.order):
             assert inv(L(z)) == z
-
-
-def test_quad_trace_inverse_guards(monkeypatch):
-    import spreadbent.polynomials as poly
-    with pytest.raises(ValueError):
-        quad_trace_inverse(field_ctx(4), 1)
-    ctx = field_ctx(3)
-    with pytest.raises(ValueError):
-        quad_trace_inverse(ctx, 0)
-    a = next(a for a in range(1, 8) if ctx.trace(ctx.inv(a)) == 1)
-    # the closed form is checked against the matrix oracle: c_0 summed over
-    # odd indices <= m-3 (so 0 at m = 3) must not get through
-    combo = poly.combo_coeffs
-    monkeypatch.setattr(poly, "combo_coeffs",
-                        lambda ctx, r: [0] + combo(ctx, r)[1:])
-    with pytest.raises(FormulaMismatchError):
-        quad_trace_inverse(ctx, a)
 
 
 # ---------------------------------------------------------------------------

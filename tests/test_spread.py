@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from spreadbent.field import field_ctx
-from spreadbent.quasifield import FieldFamily, PreQuasifield, make_family
+from spreadbent.quasifield import (AXIOM_MAX_M, FieldFamily, PreQuasifield,
+                                   make_family)
 from spreadbent.spread import (
     INFINITY,
-    SPREAD_VERIFY_MAX_M,
     Point,
     Spread,
     build_spread,
@@ -80,7 +80,7 @@ def test_verify_spread_passes(name, m, kw):
 
 def test_verify_guard():
     Q = make_family("kantor", 9)
-    with pytest.raises(ValueError, match="m = 9.*SPREAD_VERIFY_MAX_M"):
+    with pytest.raises(ValueError, match="m = 9.*AXIOM_MAX_M"):
         build_spread(Q)
     with pytest.raises(ValueError):
         verify_spread(Spread(Q, []))  # refused before any component is read
@@ -92,8 +92,8 @@ def test_build_spread_checks_the_cap_before_any_table(monkeypatch):
 
     monkeypatch.setattr(PreQuasifield, "mult_table", refuse)
     for name in ("field", "kantor"):
-        with pytest.raises(ValueError, match="SPREAD_VERIFY_MAX_M"):
-            build_spread(make_family(name, SPREAD_VERIFY_MAX_M + 1))
+        with pytest.raises(ValueError, match="AXIOM_MAX_M"):
+            build_spread(make_family(name, AXIOM_MAX_M + 1))
 
 
 def test_slope_of():
