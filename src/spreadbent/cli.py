@@ -117,9 +117,9 @@ def _stopwatch():
     return lap
 
 
-def _family(args, strict=None):
+def _family(args):
     return make_family(args.family, args.m, k=args.k, beta=args.beta,
-                       modulus=args.modulus, strict=strict)
+                       modulus=args.modulus)
 
 
 def _family_pairs(Q) -> dict:
@@ -220,10 +220,13 @@ def cmd_poly_invert_linearized(args) -> int:
 def cmd_bent_build(args) -> int:
     _check_m(args, MAX_N // 2,
              f"for a truth table on n = 2m <= {MAX_N} variables")
-    # a missing output directory is reported before any of the work
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
-                                args.out)
+    # an --out that is a directory, or lies in a missing one, is refused
+    # before any of the work
+    where = os.path.dirname(args.out) or "."
+    code = (errno.EISDIR if os.path.isdir(args.out)
+            else 0 if os.path.isdir(where) else errno.ENOENT)
+    if code:
+        raise OSError(code, os.strerror(code), args.out)
     lap = _stopwatch()
     Q = _family(args)
     g, g_echo = _selector(args.g, args.m)

@@ -1,11 +1,13 @@
 """Linearized and Dickson polynomial machinery over GF(2^m).
 
 A linearized polynomial L(z) = sum_i c_i z^(2^i) is an F2-linear map of the
-field, stored by its coefficient list [c_0 .. c_(m-1)].  Inversion comes in
-two independent flavours: a generic matrix oracle (binary Gaussian
-elimination, then interpolation back to linearized coefficients), and closed
-forms for the parametric maps that the pre-quasifield division formulas are
-built from.  The closed forms are checked against the oracle by the tests,
+field, stored by its coefficient list [c_0 .. c_(m-1)], and evaluated once
+over field elements or arrays of them.  Inversion comes in two independent
+flavours: a generic value-table oracle (the map's values on the whole field,
+read backwards, then interpolated back to linearized coefficients), and
+closed forms for the parametric maps that the pre-quasifield division
+formulas are built from.  The oracle reads only vmul, vinv and the
+Frobenius tables.  The closed forms are checked against it by the tests,
 which compose them with their forward maps (quad_trace_map for the
 combination polynomial behind Knuth's division, square_trace_map for the
 square-plus-trace inverse behind Kantor's), and by the strict sweeps.
@@ -49,83 +51,35 @@ class LinearizedMap:
     def __repr__(self):
         return f"LinearizedMap({self.ctx!r}, {self.coeffs})"
 
-    def __call__(self, z: int) -> int:
+    def __call__(self, z):
         return eval_linearized(self.ctx, self.coeffs, z)
 
-    def matrix(self) -> list[int]:
-        """Column-bit-vector form: matrix()[j] is the image of the basis
-        element 1 << j, so bit i of matrix()[j] is entry (i, j)."""
-        return [self(1 << j) for j in range(self.ctx.m)]
 
-
-def eval_linearized(ctx: FieldCtx, coeffs, z: int) -> int:
-    """Evaluate sum_i coeffs[i] z^(2^i) without building a LinearizedMap."""
-    out, s = 0, z
-    for c in coeffs:
-        if c:
-            out ^= ctx.mul(c, s)
-        s = ctx.mul(s, s)
-    return out
+def eval_linearized(ctx: FieldCtx, coeffs, z):
+    """sum_i coeffs[i] z^(2^i), elementwise over a field element or an
+    array of them, without building a LinearizedMap."""
+    c = np.asarray(coeffs, dtype=np.int32)
+    return np.bitwise_xor.reduce(ctx.vmul(c, ctx.frob[:len(c)].T[z]), axis=-1)
 
 
 def invert_linearized(L: LinearizedMap) -> LinearizedMap:
-    """Matrix oracle: invert L by binary Gaussian elimination, then
-    interpolate the inverse's linearized coefficients on the basis.
-
-    Raises NotBijectiveError when the map is singular.
+    """Value-table oracle: evaluate L on the whole field, read its inverse
+    off that table backwards, and interpolate its coefficients d_i as
+    sum_(z != 0) L^-1(z) z^(-2^i): the sum of z^k over the nonzero z is 1
+    when q - 1 divides k and 0 otherwise, and 0 < |2^j - 2^i| < q - 1 for
+    j != i.  Raises NotBijectiveError when L is singular, that is when
+    some z != 0 maps to 0.
     """
     ctx = L.ctx
-    m = ctx.m
-    cols = L.matrix()
-    # rows of the augmented system [A | I], each packed into one int
-    rows = []
-    for i in range(m):
-        bits = 0
-        for j in range(m):
-            if (cols[j] >> i) & 1:
-                bits |= 1 << j
-        rows.append(bits | (1 << (m + i)))
-    r = 0
-    for c in range(m):
-        sel = next((k for k in range(r, m) if (rows[k] >> c) & 1), None)
-        if sel is None:
-            raise NotBijectiveError(f"linearized map {L.coeffs} is singular")
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for k in range(m):
-            if k != r and (rows[k] >> c) & 1:
-                rows[k] ^= rows[r]
-        r += 1
-    inv_rows = [row >> m for row in rows]
-    preimages = []
-    for j in range(m):
-        v = 0
-        for i in range(m):
-            if (inv_rows[i] >> j) & 1:
-                v |= 1 << i
-        preimages.append(v)
-    return LinearizedMap(ctx, _interpolate_linearized(ctx, preimages))
-
-
-def _interpolate_linearized(ctx: FieldCtx, images) -> list[int]:
-    """Coefficients of the linearized map sending 1 << j to images[j]."""
-    m = ctx.m
-    rows = [[ctx.pow(1 << j, 1 << i) for i in range(m)] for j in range(m)]
-    rhs = list(images)
-    for c in range(m):
-        p = next((r for r in range(c, m) if rows[r][c] != 0), None)
-        if p is None:
-            raise AssertionError("Moore matrix of a basis must be invertible")
-        rows[c], rows[p] = rows[p], rows[c]
-        rhs[c], rhs[p] = rhs[p], rhs[c]
-        s = ctx.inv(rows[c][c])
-        rows[c] = [ctx.mul(s, v) for v in rows[c]]
-        rhs[c] = ctx.mul(s, rhs[c])
-        for r in range(m):
-            if r != c and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [v ^ ctx.mul(f, w) for v, w in zip(rows[r], rows[c])]
-                rhs[r] ^= ctx.mul(f, rhs[c])
-    return rhs
+    e = np.arange(ctx.order)
+    image = L(e)
+    if not image[1:].all():
+        raise NotBijectiveError(f"linearized map {L.coeffs} is singular")
+    back = np.empty_like(image)
+    back[image] = e
+    zinv_frob = ctx.frob[:, ctx.vinv(e[1:])]  # z^(-2^i) for every z != 0
+    coeffs = np.bitwise_xor.reduce(ctx.vmul(back[1:], zinv_frob), axis=1)
+    return LinearizedMap(ctx, coeffs.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -218,13 +218,13 @@ class FieldFamily(PreQuasifield):
     kind = "field"
     linear = True
 
+    def __init__(self, ctx, strict=None):
+        # log(1/x), zero-sentinel
+        self._closed_form = _frozen(ctx.zlog[ctx.vinv(np.arange(ctx.order))])
+        super().__init__(ctx, strict)
+
     def _mul(self, A, X):
         return self.ctx.vmul(A, X)
-
-    @cached_property
-    def _closed_form(self):
-        """log(1/x), zero-sentinel."""
-        return _frozen(self.ctx.zlog[self.ctx.vinv(np.arange(self.ctx.order))])
 
     def qdiv_formula(self, y, x):
         ctx = self.ctx
@@ -252,16 +252,12 @@ class DempwolffMullerFamily(PreQuasifield):
         self.k = k
         self.e = (1 << (m - 1)) - (1 << (k - 1)) - 1
         self.d = dickson_inverse_exponent((1 << k) - 1, m)
+        self._pow_e = _frozen(ctx.vpow(np.arange(ctx.order), self.e))  # a^e
         super().__init__(ctx, strict)
 
     @property
     def params(self):
         return {"k": self.k, "e": self.e, "d": self.d}
-
-    @cached_property
-    def _pow_e(self):
-        """a^e for every a."""
-        return _frozen(self.ctx.vpow(np.arange(self.ctx.order), self.e))
 
     def _mul(self, A, X):
         ctx = self.ctx
@@ -274,7 +270,8 @@ class DempwolffMullerFamily(PreQuasifield):
     @cached_property
     def _closed_form(self):
         """Logs of y^2, 1/x^(2^k + 1), 1/D_d(arg) (indexed by arg) and 1/x,
-        for y // x = (1/x) (1/D_d(arg)) with arg = y^2 / x^(2^k + 1)."""
+        for y // x = (1/x) (1/D_d(arg)) with arg = y^2 / x^(2^k + 1).
+        Built on first use, as KnuthFamily._closed_form is."""
         ctx = self.ctx
         zlog, e = ctx.zlog, np.arange(ctx.order)
         return _frozen_tables(
@@ -331,6 +328,10 @@ class KnuthFamily(PreQuasifield):
         linearized polynomial.  So y // x = sum_i c_i(x) y^(2^i), with
           c_i(x) = x (beta/x)^(2^i) + tr(beta x) x C_i(beta x) / x^(2^(i+1))
                    (+ 1/x for i = 0 when tr(beta x) = 0).
+
+        Built on first use, after a table build allocates its q x q table:
+        built first, they split the heap hole a freed table left, and one
+        family after another at m = 11 then peaked 8 MB higher.
         """
         ctx = self.ctx
         q, m = ctx.order, ctx.m

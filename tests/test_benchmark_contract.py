@@ -1,17 +1,25 @@
-"""The benchmark's tracer wraps program functions by name from outside
-(benchmark/tracing.py).  Every name it lists must resolve the way its
-_replace looks it up, or `benchmark/run.py --trace 1` breaks."""
+"""The benchmark reaches into the package by name from outside.  The
+tracer (benchmark/tracing.py) wraps program functions: every name it lists
+must resolve the way its _replace looks it up, or `benchmark/run.py
+--trace 1` breaks.  The worker (benchmark/worker.py) calls `sb.<name>`
+(spreadbent imported as sb): every such name must resolve and accept the
+keywords the worker passes, such as make_family's strict=, or
+`benchmark/run.py` breaks."""
 
+import ast
+import functools
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
-import spreadbent  # noqa: F401  (the benchmark worker's two imports)
+import spreadbent  # the benchmark worker's two imports
 import spreadbent.cli  # noqa: F401
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+TRACING = BENCHMARK / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +50,41 @@ def test_qdiv_formula_is_defined_on_each_family(tracing):
     for cls in tracing.QDIV_CLASSES:
         assert callable(resolve(f"spreadbent.quasifield:{cls}",
                                 "qdiv_formula")), cls
+
+
+def _sb_chain(node):
+    """The names after `sb` of an attribute chain sb.a.b, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "sb":
+        return tuple(names[::-1])
+    return None
+
+
+@pytest.fixture(scope="module")
+def worker():
+    return ast.parse((BENCHMARK / "worker.py").read_text())
+
+
+def test_worker_names_resolve_on_the_package(worker):
+    chains = {c for node in ast.walk(worker)
+              if (c := _sb_chain(node)) is not None}
+    assert {("make_family",), ("Spread",), ("cli", "main")} <= chains
+    for chain in chains:
+        obj = spreadbent
+        for name in chain:
+            assert hasattr(obj, name), "sb." + ".".join(chain)
+            obj = getattr(obj, name)
+
+
+def test_worker_keywords_are_accepted(worker):
+    # make_family(..., strict=True) among them; bind_partial raises
+    # TypeError on a keyword the signature does not take
+    for node in ast.walk(worker):
+        if isinstance(node, ast.Call) and (c := _sb_chain(node.func)):
+            sig = inspect.signature(functools.reduce(getattr, c, spreadbent))
+            sig.bind_partial(**{kw.arg: None for kw in node.keywords
+                                if kw.arg is not None})  # not **mappings
+    inspect.signature(spreadbent.make_family).bind_partial(strict=True)

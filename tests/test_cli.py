@@ -191,6 +191,20 @@ def test_invert_linearized_singular_exits_one(capsys):
     assert report(capsys)["bijective"] == "false"
 
 
+def test_invert_linearized_at_max_m_reproduces_pinned_output(capsys):
+    # the inverse of z^2 over GF(2^16) is z^(2^15)
+    assert run(["poly", "invert-linearized", "--m", "16",
+                "--coeffs", "0,1"]) == 0
+    zeros = ",".join(["0x0"] * 14)
+    assert capsys.readouterr().out == (
+        "bijective=true\n"
+        "command=poly invert-linearized\n"
+        f"input=0x0,0x1,{zeros}\n"
+        f"inverse=0x0,{zeros},0x1\n"
+        "m=16\n"
+        "modulus=0x1002b\n")
+
+
 # ---------------------------------------------------------------------------
 # bent pipeline
 
@@ -263,24 +277,36 @@ def test_bad_values_name_their_flag(argv, named, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("argv,command", [
-    (["bent", "build", "--family", "field", "--m", "3", "--g", "random:1",
-      "--out"], "bent build --m 3"),
+BUILD = ["bent", "build", "--family", "field", "--m", "3", "--g", "random:1",
+         "--out"]
+MISSING = ("missing/f.tt", "No such file or directory")
+
+
+@pytest.mark.parametrize("argv,command,target", [
+    (BUILD, "bent build --m 3", MISSING),
     (["spread", "verify", "--family", "field", "--m", "3", "--dump"],
-     "spread verify --m 3"),
-    (["bent", "verify", "--tt"], "bent verify"),
-], ids=["build-out", "spread-dump", "verify-tt"])
-def test_missing_directory_exits_two_naming_the_path(argv, command, tmp_path,
-                                                     capsys):
-    path = str(tmp_path / "missing" / "f.tt")
+     "spread verify --m 3", MISSING),
+    (["bent", "verify", "--tt"], "bent verify", MISSING),
+    (BUILD, "bent build --m 3", ("", "Is a directory")),
+], ids=["build-out", "spread-dump", "verify-tt", "build-out-directory"])
+def test_missing_directory_exits_two_naming_the_path(argv, command, target,
+                                                     tmp_path, capsys):
+    leaf, reason = target
+    path = str(tmp_path / leaf)  # the directory itself when leaf is ""
     assert run(argv + [path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert (f"error: {command}: No such file or directory: {path}"
-            in captured.err.splitlines())
+    assert f"error: {command}: {reason}: {path}" in captured.err.splitlines()
     assert "Traceback" not in captured.err
     # the path is checked before the family is built
     assert "elapsed_ms.table" not in captured.err
+
+
+def test_build_overwrites_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "f.tt"
+    out.write_text("stale\n")
+    assert run(BUILD + [str(out)]) == 0
+    assert load_tt(str(out)).n == 6
 
 
 def test_verify_non_bent_exits_one(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Tests for linearized-map inversion and Dickson/closed-form machinery.
 
-The matrix oracle (invert_linearized) is the ground truth here: closed forms
-are judged by composition against the maps they claim to invert.
+Value-table inversion (invert_linearized: the map's values on the whole
+field, read backwards and interpolated) is the ground truth here: closed
+forms are judged by composition against the maps they claim to invert.
 """
 
 import random
 
+import numpy as np
 import pytest
 
-from spreadbent.field import field_ctx
+from spreadbent.field import MAX_M, MIN_M, field_ctx
 from spreadbent.polynomials import (
     DICKSON_RECURRENCE_MAX,
     LinearizedMap,
@@ -28,14 +30,13 @@ from spreadbent.polynomials import (
 
 
 # ---------------------------------------------------------------------------
-# LinearizedMap + matrix oracle
+# LinearizedMap + value-table inversion
 
 
 def test_identity_map():
     ctx = field_ctx(4)
     L = LinearizedMap(ctx, [1])
     assert all(L(z) == z for z in range(ctx.order))
-    assert L.matrix() == [1 << j for j in range(4)]
     assert invert_linearized(L).coeffs == [1, 0, 0, 0]
 
 
@@ -114,6 +115,39 @@ def test_oracle_inverts_random_bijections(m):
         for z in pts:
             assert inv(L(z)) == z
             assert L(inv(z)) == z
+
+
+@pytest.mark.parametrize("m", [MIN_M, MAX_M])
+def test_inversion_at_the_ends_of_the_field_range(m):
+    # at m = 2 the interpolation exponents reach their bound 2^(m-1) = q - 2
+    ctx = field_ctx(m)
+    e = np.arange(ctx.order)
+    rng = random.Random(2 * m)
+    found = singular = 0
+    while found < 4:
+        L = LinearizedMap(ctx, [rng.randrange(ctx.order) for _ in range(m)])
+        image = L(e)
+        try:
+            inv = invert_linearized(L)
+        except NotBijectiveError:
+            assert len(np.unique(image)) < ctx.order
+            singular += 1
+            continue
+        found += 1
+        assert np.array_equal(inv(image), e)
+        assert np.array_equal(L(inv(e)), e)
+    assert singular > 0
+
+
+@pytest.mark.parametrize("m", [MIN_M, MAX_M])
+def test_eval_linearized_over_an_array_matches_scalar_calls(m):
+    ctx = field_ctx(m)
+    rng = random.Random(m)
+    coeffs = [rng.randrange(ctx.order) for _ in range(m)]
+    zs = (list(range(ctx.order)) if m == MIN_M
+          else [0, ctx.order - 1] + rng.sample(range(1, ctx.order), 2000))
+    values = eval_linearized(ctx, coeffs, np.array(zs))
+    assert values.tolist() == [eval_linearized(ctx, coeffs, z) for z in zs]
 
 
 def test_singular_detection_matches_image_size():

@@ -215,6 +215,10 @@ def test_cached_family_tables_are_frozen():
         for t in tables if isinstance(tables, tuple) else (tables,):
             assert not t.flags.writeable
     assert not make_family("dm", 5, k=3)._pow_e.flags.writeable
+    # built by the constructor, not on first read: a non-strict family
+    # reads neither before it is returned
+    assert "_closed_form" in vars(make_family("field", 9, strict=False))
+    assert "_pow_e" in vars(make_family("dm", 9, k=5, strict=False))
 
 
 def test_oracle_detects_broken_multiplication():
