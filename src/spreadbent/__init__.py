@@ -10,7 +10,7 @@ Walsh-Hadamard transform.
 
 __version__ = "0.1.0"
 
-from .field import FieldCtx, ExtCtx, field_ctx, default_modulus, is_irreducible
+from .field import FieldCtx, field_ctx, default_modulus, is_irreducible
 from .polynomials import (
     LinearizedMap,
     NotBijectiveError,
@@ -70,7 +70,7 @@ from .construct import (
 __all__ = [
     "__version__",
     # field
-    "FieldCtx", "ExtCtx", "field_ctx", "default_modulus", "is_irreducible",
+    "FieldCtx", "field_ctx", "default_modulus", "is_irreducible",
     # polynomials
     "LinearizedMap", "NotBijectiveError", "NotCoprimeError",
     "eval_linearized", "invert_linearized", "dickson_eval",

@@ -52,7 +52,8 @@ from .polynomials import (
     dickson_inverse_exponent,
     invert_linearized,
 )
-from .quasifield import AXIOM_MAX_M, ConsistencyError, make_family, verify_axioms
+from .quasifield import (AXIOM_MAX_M, FAMILY_NAMES, ConsistencyError,
+                         make_family, verify_axioms)
 from .spread import build_spread, dump_spread, verify_spread
 
 import numpy as np
@@ -117,6 +118,15 @@ def _stopwatch():
     return lap
 
 
+def _check_writable(path: str):
+    """Refuse an output path that is a directory or lies in a missing one."""
+    where = os.path.dirname(path) or "."
+    code = (errno.EISDIR if os.path.isdir(path)
+            else 0 if os.path.isdir(where) else errno.ENOENT)
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def _family(args):
     return make_family(args.family, args.m, k=args.k, beta=args.beta,
                        modulus=args.modulus)
@@ -177,6 +187,8 @@ def cmd_qf_divide(args) -> int:
 
 def cmd_spread_verify(args) -> int:
     _check_m(args, AXIOM_MAX_M, "that the exhaustive spread sweep covers")
+    if args.dump:
+        _check_writable(args.dump)
     Q = _family(args)
     S = build_spread(Q)
     report = verify_spread(S)
@@ -220,13 +232,7 @@ def cmd_poly_invert_linearized(args) -> int:
 def cmd_bent_build(args) -> int:
     _check_m(args, MAX_N // 2,
              f"for a truth table on n = 2m <= {MAX_N} variables")
-    # an --out that is a directory, or lies in a missing one, is refused
-    # before any of the work
-    where = os.path.dirname(args.out) or "."
-    code = (errno.EISDIR if os.path.isdir(args.out)
-            else 0 if os.path.isdir(where) else errno.ENOENT)
-    if code:
-        raise OSError(code, os.strerror(code), args.out)
+    _check_writable(args.out)
     lap = _stopwatch()
     Q = _family(args)
     g, g_echo = _selector(args.g, args.m)
@@ -304,8 +310,7 @@ def cmd_bent_spectrum(args) -> int:
 
 
 def _add_family_flags(p):
-    p.add_argument("--family", required=True,
-                   choices=["field", "dm", "knuth", "kantor"])
+    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--k", type=int, help="dm only")
     p.add_argument("--beta", type=_hex_value, help="knuth only (hex)")

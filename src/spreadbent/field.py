@@ -1,15 +1,11 @@
-"""Arithmetic for GF(2^m) and its quadratic extension GF(2^(2m)).
+"""Arithmetic for GF(2^m).
 
 Field elements are plain Python ints in [0, 2^m): bit i of the int is the
 coefficient of x^i in a polynomial over F2, reduced modulo an irreducible
 modulus.  A FieldCtx carries m, the modulus and precomputed lookup tables;
 every operation takes and returns ints, so elements need no wrapper type.
-Addition is XOR.  inv(0) = 0 by convention, which keeps the division
-formulas built on top of this module total.
-
-Elements of the quadratic extension GF(2^(2m)) are pairs (a, b) meaning
-a + b*u, where u^2 = u + c for a base-field constant c of absolute trace 1
-(the smallest such integer).  The base field embeds as (a, 0).
+Addition is XOR, and inv(0) = 0 keeps the division formulas built on this
+module total.  Only solve_quadratic answers in GF(2^(2m)), with a pair.
 
 Vectorized counterparts of the scalar operations (vmul, vinv, vpow, ...)
 operate on numpy integer arrays elementwise and are used by the exhaustive
@@ -145,7 +141,6 @@ class FieldCtx:
         # tr(a) = a + a^2 + ... + a^(2^(m-1)), which lies in {0, 1}
         self.trace_table = _frozen(
             np.bitwise_xor.reduce(F, axis=0).astype(np.uint8))
-        self._ext = None
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus=0x{self.modulus:x})"
@@ -176,80 +171,28 @@ class FieldCtx:
         """Absolute trace, as the integer 0 or 1."""
         return int(self.trace_table[a])
 
-    def half_trace(self, a: int) -> int:
-        """Sum of the even Frobenius powers a^(2^(2i)), 0 <= 2i < m.
-
-        For odd m this solves z^2 + z = a whenever trace(a) = 0.
-        """
-        z, s = 0, a
-        for i in range(self.m):
-            if i % 2 == 0:
-                z ^= s
-            s = self.mul(s, s)
-        return z
-
-    def artin_schreier_root(self, a: int) -> int:
-        """One solution z of z^2 + z = a; requires trace(a) = 0."""
-        if self.trace(a):
-            raise ValueError("z^2 + z = a has no root: trace(a) = 1")
-        if self.m % 2:
-            return self.half_trace(a)
-        return self._artin_schreier_even(a)
-
-    def _artin_schreier_even(self, a: int) -> int:
-        # solve the F2-linear system (z^2 ^ z) = a by Gaussian elimination
-        m = self.m
-        imgs = [self.sqr(1 << j) ^ (1 << j) for j in range(m)]
-        piv: list[int | None] = [None] * m
-        for i in range(m):
-            r = 0
-            for j in range(m):
-                if (imgs[j] >> i) & 1:
-                    r |= 1 << j
-            r |= ((a >> i) & 1) << m
-            for j in range(m):
-                if piv[j] is not None and (r >> j) & 1:
-                    r ^= piv[j]
-            low = (r & ((1 << m) - 1)) & -(r & ((1 << m) - 1))
-            if low:
-                piv[low.bit_length() - 1] = r
-            elif (r >> m) & 1:
-                raise AssertionError("inconsistent system despite trace 0")
-        z = 0
-        for j in reversed(range(m)):
-            r = piv[j]
-            if r is None:
-                continue
-            rhs = (r >> m) & 1
-            for j2 in range(j + 1, m):
-                if (r >> j2) & 1:
-                    rhs ^= (z >> j2) & 1
-            if rhs:
-                z |= 1 << j
-        return z
-
-    # -- quadratic extension -------------------------------------------------
-
-    @property
-    def ext(self) -> "ExtCtx":
-        if self._ext is None:
-            self._ext = ExtCtx(self)
-        return self._ext
-
     def solve_quadratic(self, x: int):
         """A root t of t^2 + x*t + 1 = 0 in GF(2^(2m)), for x != 0.
 
-        The two roots are t and ext.inv(t), and t + inv(t) = x.  When
-        trace(1/x^2) = 0 the root lies in the base field, returned as (t, 0).
+        t is the pair (a, b) meaning a + b*u, where u^2 = u + c1 and c1 is
+        the least element of trace 1.  The other root is t + x, and the two
+        multiply to 1.  When trace(1/x^2) = 0 both roots lie in the base
+        field and b = 0; otherwise b = x.
         """
         if x == 0:
             raise ValueError("x must be nonzero")
-        c = self.inv(self.sqr(x))  # t = x*s turns the equation into s^2+s = c
+        # t = x*s turns the equation into s^2 + s = c.  z -> z^2 + z is
+        # F2-linear with kernel {0, 1}, so it maps the even elements (a
+        # complement of {0, 1}) one to one onto the elements of trace 0
+        even = np.arange(0, self.order, 2)
+        root = np.zeros(self.order, dtype=np.int32)
+        root[self.frob[1][even] ^ even] = even
+        c = self.inv(self.sqr(x))
         if self.trace(c) == 0:
-            return (self.mul(x, self.artin_schreier_root(c)), 0)
-        ext = self.ext
-        s0 = self.artin_schreier_root(c ^ ext.c)
-        return (self.mul(x, s0), x)
+            return (self.mul(x, int(root[c])), 0)
+        # with t = x*(s + u), s^2 + s = c + c1, which has trace 0
+        c1 = int(np.flatnonzero(self.trace_table)[0])
+        return (self.mul(x, int(root[c ^ c1])), x)
 
     # -- vectorized operations (numpy int arrays of elements) ----------------
 
@@ -275,53 +218,6 @@ class FieldCtx:
 
     def vtrace(self, A):
         return self.trace_table[A]
-
-
-class ExtCtx:
-    """GF(2^(2m)) over a FieldCtx; elements are pairs (a, b) = a + b*u."""
-
-    def __init__(self, base: FieldCtx):
-        self.base = base
-        self.c = next(c for c in range(1, base.order) if base.trace(c) == 1)
-        self.order = base.order * base.order
-
-    def __repr__(self):
-        return f"ExtCtx(base={self.base!r}, c=0x{self.c:x})"
-
-    def add(self, p, q):
-        return (p[0] ^ q[0], p[1] ^ q[1])
-
-    def mul(self, p, q):
-        f = self.base
-        a, b = p
-        d, e = q
-        be = f.mul(b, e)
-        return (f.mul(a, d) ^ f.mul(be, self.c),
-                f.mul(a, e) ^ f.mul(b, d) ^ be)
-
-    def sqr(self, p):
-        return self.mul(p, p)
-
-    def inv(self, p):
-        """Inverse via the conjugate, with inv(0) = 0."""
-        a, b = p
-        if a == 0 and b == 0:
-            return (0, 0)
-        f = self.base
-        n = f.mul(a, a ^ b) ^ f.mul(self.c, f.mul(b, b))
-        ni = f.inv(n)
-        return (f.mul(a ^ b, ni), f.mul(b, ni))
-
-    def pow(self, p, e: int):
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        r = (1, 0)
-        while e:
-            if e & 1:
-                r = self.mul(r, p)
-            p = self.mul(p, p)
-            e >>= 1
-        return r
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 """The benchmark reaches into the package by name from outside.  The
 tracer (benchmark/tracing.py) wraps program functions: every name it lists
 must resolve the way its _replace looks it up, or `benchmark/run.py
---trace 1` breaks.  The worker (benchmark/worker.py) calls `sb.<name>`
+--trace 1` breaks.  The worker (benchmark/worker.py) and the self-test that
+runs before every measurement (benchmark/selftest.py) call `sb.<name>`
 (spreadbent imported as sb): every such name must resolve and accept the
-keywords the worker passes, such as make_family's strict=, or
-`benchmark/run.py` breaks."""
+keywords they pass, such as make_family's strict=, and the objects it
+returns must have the attributes they read, or `benchmark/run.py`
+breaks."""
 
 import ast
 import functools
@@ -63,15 +65,19 @@ def _sb_chain(node):
     return None
 
 
+def _script(name):
+    return ast.parse((BENCHMARK / name).read_text())
+
+
 @pytest.fixture(scope="module")
 def worker():
-    return ast.parse((BENCHMARK / "worker.py").read_text())
+    return _script("worker.py")
 
 
-def test_worker_names_resolve_on_the_package(worker):
-    chains = {c for node in ast.walk(worker)
+def _names_resolve(tree, required):
+    chains = {c for node in ast.walk(tree)
               if (c := _sb_chain(node)) is not None}
-    assert {("make_family",), ("Spread",), ("cli", "main")} <= chains
+    assert required <= chains
     for chain in chains:
         obj = spreadbent
         for name in chain:
@@ -79,12 +85,46 @@ def test_worker_names_resolve_on_the_package(worker):
             obj = getattr(obj, name)
 
 
-def test_worker_keywords_are_accepted(worker):
-    # make_family(..., strict=True) among them; bind_partial raises
-    # TypeError on a keyword the signature does not take
-    for node in ast.walk(worker):
+def _keywords_bind(tree):
+    # bind_partial raises TypeError on a keyword the signature does not take
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call) and (c := _sb_chain(node.func)):
             sig = inspect.signature(functools.reduce(getattr, c, spreadbent))
             sig.bind_partial(**{kw.arg: None for kw in node.keywords
                                 if kw.arg is not None})  # not **mappings
+
+
+def test_worker_names_resolve_on_the_package(worker):
+    _names_resolve(worker, {("make_family",), ("Spread",), ("cli", "main")})
+
+
+def test_worker_keywords_are_accepted(worker):
+    _keywords_bind(worker)  # make_family(..., strict=True) among them
     inspect.signature(spreadbent.make_family).bind_partial(strict=True)
+
+
+def test_selftest_names_resolve_on_the_package():
+    _names_resolve(_script("selftest.py"),
+                   {("default_modulus",), ("make_family",), ("save_tt",),
+                    ("TruthTable",)})
+
+
+def test_selftest_keywords_are_accepted():
+    # make_family(..., strict=False) and save_tt(..., header=...)
+    _keywords_bind(_script("selftest.py"))
+
+
+def test_returned_objects_have_the_attributes_the_benchmark_reads():
+    for name, params in (("field", {}), ("dm", {"k": 1}),
+                         ("knuth", {"beta": 1}), ("kantor", {})):
+        Q = spreadbent.make_family(name, 3, **params)
+        for attr in ("mult_table", "div_table_formula", "qdiv_formula"):
+            assert callable(getattr(Q, attr)), (name, attr)
+        S = spreadbent.build_spread(Q)
+        assert len(S.components) == 9
+        spread = spreadbent.verify_spread(S)
+        for report in (spreadbent.verify_axioms(Q), spread):
+            assert report.passed and report.as_dict()["passed"], name
+        assert len(spread.closure_ok) == 9
+    f = spreadbent.TruthTable(2, [0, 0, 0, 1])
+    assert f.bits.tolist() == [0, 0, 0, 1]

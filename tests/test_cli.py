@@ -282,15 +282,24 @@ BUILD = ["bent", "build", "--family", "field", "--m", "3", "--g", "random:1",
 MISSING = ("missing/f.tt", "No such file or directory")
 
 
+DUMP = ["spread", "verify", "--family", "field", "--m", "3", "--dump"]
+
+
 @pytest.mark.parametrize("argv,command,target", [
     (BUILD, "bent build --m 3", MISSING),
-    (["spread", "verify", "--family", "field", "--m", "3", "--dump"],
-     "spread verify --m 3", MISSING),
+    (DUMP, "spread verify --m 3", MISSING),
     (["bent", "verify", "--tt"], "bent verify", MISSING),
     (BUILD, "bent build --m 3", ("", "Is a directory")),
-], ids=["build-out", "spread-dump", "verify-tt", "build-out-directory"])
+    (DUMP, "spread verify --m 3", ("", "Is a directory")),
+], ids=["build-out", "spread-dump", "verify-tt", "build-out-directory",
+        "spread-dump-directory"])
 def test_missing_directory_exits_two_naming_the_path(argv, command, target,
-                                                     tmp_path, capsys):
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    def entered(*args, **kwargs):
+        pytest.fail("the spread was built before the path was checked")
+
+    monkeypatch.setattr("spreadbent.cli.build_spread", entered)
     leaf, reason = target
     path = str(tmp_path / leaf)  # the directory itself when leaf is ""
     assert run(argv + [path]) == 2

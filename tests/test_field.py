@@ -159,18 +159,6 @@ def test_sqrt_is_square_root(m):
         assert sqrt[f.sqr(a)] == a
 
 
-@pytest.mark.parametrize("m", range(2, 10))
-def test_artin_schreier_root(m):
-    f = field_ctx(m)
-    for a in range(f.order):
-        if f.trace(a) == 0:
-            z = f.artin_schreier_root(a)
-            assert f.sqr(z) ^ z == a
-        else:
-            with pytest.raises(ValueError):
-                f.artin_schreier_root(a)
-
-
 # -- vectorized ops agree with scalar ops ------------------------------------
 
 @pytest.mark.parametrize("m", [3, 6])
@@ -186,64 +174,31 @@ def test_vector_ops_match_scalar(m):
         f.vpow(E, -1)
 
 
-# -- quadratic extension ------------------------------------------------------
+# -- t^2 + x t + 1 = 0 ------------------------------------------------------
 
-def test_ext_constant_has_trace_one():
-    for m in (2, 3, 4, 5):
-        f = field_ctx(m)
-        assert f.trace(f.ext.c) == 1
-        assert all(f.trace(c) == 0 for c in range(f.ext.c))
-
-
-def test_ext_defining_relation():
-    f = field_ctx(3)
-    e = f.ext
-    assert e.mul((0, 1), (0, 1)) == (e.c, 1)  # u^2 = c + u
+def _pair_mul(f, c1, p, r):
+    """(a + b u)(d + e u) with u^2 = u + c1, in base-field operations."""
+    (a, b), (d, e) = p, r
+    be = f.mul(b, e)
+    return (f.mul(a, d) ^ f.mul(be, c1), f.mul(a, e) ^ f.mul(b, d) ^ be)
 
 
-def test_ext_field_laws_m3():
-    f = field_ctx(3)
-    e = f.ext
-    els = [(a, b) for a in range(8) for b in range(8)]
-    for p in els:
-        assert e.mul(p, (1, 0)) == p
-        q = e.inv(p)
-        if p == (0, 0):
-            assert q == (0, 0)
-        else:
-            assert e.mul(p, q) == (1, 0)
-            assert e.pow(p, e.order - 1) == (1, 0)
-    rng = random.Random(3)
-    for _ in range(500):
-        p, q, r = (random.choice(els) for _ in range(3))
-        assert e.mul(p, q) == e.mul(q, p)
-        assert e.mul(e.mul(p, q), r) == e.mul(p, e.mul(q, r))
-        assert e.mul(p, e.add(q, r)) == e.add(e.mul(p, q), e.mul(p, r))
-
-
-def test_ext_embeds_base_field():
-    f = field_ctx(3)
-    e = f.ext
-    for a in range(8):
-        for b in range(8):
-            assert e.mul((a, 0), (b, 0)) == (f.mul(a, b), 0)
-        assert e.inv((a, 0)) == (f.inv(a), 0)
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("m", range(2, 11))
 def test_solve_quadratic(m):
     f = field_ctx(m)
-    e = f.ext
+    c1 = next(c for c in range(f.order) if f.trace(c) == 1)
     for x in range(1, f.order):
         t = f.solve_quadratic(x)
-        # t^2 + x t + 1 = 0
-        assert e.add(e.add(e.sqr(t), e.mul((x, 0), t)), (1, 0)) == (0, 0)
-        # the other root is 1/t, and the two sum to x
-        assert e.add(t, e.inv(t)) == (x, 0)
+        other = (t[0] ^ x, t[1])
+        for r in (t, other):
+            # r^2 + x r + 1 = 0
+            r2 = _pair_mul(f, c1, r, r)
+            xr = _pair_mul(f, c1, (x, 0), r)
+            assert (r2[0] ^ xr[0] ^ 1, r2[1] ^ xr[1]) == (0, 0)
+        assert _pair_mul(f, c1, t, other) == (1, 0)
         in_base = f.trace(f.inv(f.sqr(x))) == 0
-        assert (t[1] == 0) == in_base
-        if in_base and m % 2 == 1:
-            assert t[0] == f.mul(x, f.half_trace(f.inv(f.sqr(x))))
+        assert t[1] == (0 if in_base else x)
+        assert f.mul(f.inv(x), t[0]) % 2 == 0  # s = t/x is even
     with pytest.raises(ValueError):
         f.solve_quadratic(0)
 
@@ -271,7 +226,15 @@ def test_shared_tables_are_frozen():
 
 def test_lookup_tables_are_built_with_the_context():
     f = FieldCtx(7)
-    assert {"zlog", "zexp", "_inv", "frob", "trace_table"} <= set(vars(f))
+    names = set(vars(f))
+    assert {"zlog", "zexp", "_inv", "frob", "trace_table"} <= names
+    # use writes nothing onto the context
+    for x in range(1, 8):  # roots in and outside the base field
+        f.solve_quadratic(x)
+    f.mul(3, 5)
+    f.pow(3, 5)
+    f.vpow(np.arange(f.order), 5)
+    assert set(vars(f)) == names
 
 
 @pytest.mark.parametrize("m", [2, 3, 6])
