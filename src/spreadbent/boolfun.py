@@ -9,11 +9,13 @@ input vector.  The Walsh coefficient at w is
 with <w, x> the XOR of the bits of w & x, so the spectrum is the Sylvester
 matrix H_{2^n}[w, x] = (-1)^<w, x> applied to the vector (-1)^f.  That matrix
 is a Kronecker product of small ones, H_{2^n} = H_{2^k_r} (x) .. (x) H_{2^k_1},
-one factor per run of index bits [lo, lo + k), and walsh_spectrum applies the
-factors as dense matrix products (BLAS) of at most FACTOR_BITS bits each, in
-two cache-blocked passes: every factor below bit log2(BLOCK) a block at a
-time, then every factor above it a column chunk at a time.  walsh_at
-recomputes single coefficients directly as an independent check.
+one factor per run of index bits [lo, lo + k).  One engine, _walsh_chunks,
+applies the factors as dense matrix products (BLAS) of at most FACTOR_BITS
+bits each, in two cache-blocked passes: every factor on bits [0, low) a
+block at a time, kept in an intermediate array, then every factor above
+`low` a column chunk at a time, each chunk handed to the caller when it is
+finished.  walsh_at recomputes single coefficients directly as an
+independent check.
 
 The products are exact.  After the factors covering bits [0, b), each value
 is a partial Walsh sum over 2^b inputs, an integer of magnitude <= 2^b, and
@@ -21,9 +23,18 @@ every partial sum a factor on bits [lo, lo + k) forms on the way, in any
 order, is an integer of magnitude <= 2^(lo + k).  float32 holds every
 integer of magnitude <= 2^24 (EXACT_BITS) exactly, so a factor ending at or
 below bit 24 runs in float32; one ending above it (the last factor at
-n = 25 and 26) runs in float64, exact to 2^53, and the result is written as
-int32.  The values kept between the passes, after bits [0, log2(BLOCK)),
-are likewise exact float32 integers.
+n = 25 and 26) runs in float64, exact to 2^53.  The intermediate values,
+after bits [0, low), are integers of magnitude <= 2^low, so they are kept
+exactly as float32 for low <= 24 and as int16 for low <= 14 (INT16_BITS;
+2^15 would overflow).
+
+Two callers consume the chunks.  walsh_spectrum (for `bent build` and
+`bent spectrum`) writes them into its int32 output, with low = log2(BLOCK)
+and the intermediate kept as float32 in the output's own memory.  is_bent
+without a given spectrum (for ps_minus's certificate and `bent verify`)
+only checks them: low = min(n, 14), an int16 intermediate of 2 bytes a
+point (none for n <= 14, where the first pass yields the coefficients),
+and the first chunk with |W| != 2^(n/2) ends the check.
 
 f is bent when |W(w)| = 2^(n/2) for every w — only possible for even n, and
 the flat spectrum is exactly Parseval's identity sum W^2 = 2^(2n) spread as
@@ -52,13 +63,18 @@ import numpy as np
 MAX_N = 26
 # entries per block of the cache-blocked loops below (256 KB of float32 or
 # int32); the Walsh transform's first pass covers the index bits below
-# log2(BLOCK) a block at a time, its second the bits above in chunks of BLOCK;
-# the Mobius transform and the degree take BLOCK / 8 packed words (64 KB)
+# log2(BLOCK) a block at a time, its second the bits above in chunks of
+# about BLOCK; the Mobius transform and the degree take BLOCK / 8 packed
+# words (64 KB)
 BLOCK = 1 << 16
 # index bits per Hadamard factor of the Walsh transform (a 16 x 16 matrix)
 FACTOR_BITS = 4
 # float32 holds every integer of magnitude <= 2^EXACT_BITS exactly
 EXACT_BITS = np.finfo(np.float32).nmant + 1
+# int16 holds every integer of magnitude <= 2^INT16_BITS (2^15 overflows)
+INT16_BITS = np.iinfo(np.int16).bits - 2
+# the least bytes of each row of a second-pass chunk of the Walsh transform
+SEGMENT = 128
 # the in-word Mobius stages (h, M_h): M_h holds the bit positions b < 64
 # with bit h of b clear
 _IN_WORD = tuple((h, np.uint64(sum(1 << b for b in range(64) if not b & h)))
@@ -136,46 +152,70 @@ def walsh_spectrum(tt: TruthTable) -> np.ndarray:
     """All 2^n Walsh coefficients, int32, index = mask w (a fresh, writable
     array).
 
-    First pass: each block of BLOCK inputs goes from its values (-1)^f
-    through every factor below bit `low`, in two float32 block buffers, and
-    is kept as float32 in the output's own memory (or, when that was every
-    bit, written as int32).  Second pass: _high_factors.
+    The first pass covers the bits below log2(BLOCK) and keeps its values
+    as float32 in the output's own memory; each finished piece of
+    _walsh_chunks is then written over the columns it was read from.
     """
     n = tt.n
     out = np.empty(1 << n, dtype=np.int32)
     # BLOCK <= 2^EXACT_BITS, so the values kept between the passes are exact
     low = min(n, BLOCK.bit_length() - 1)
-    factors = _factors(0, low)
-    keep = out if low == n else out.view(np.float32)
-    a = np.empty(1 << low, dtype=np.float32)
-    b = np.empty_like(a)
-    for b0 in range(0, out.size, a.size):
-        np.copyto(a, tt.bits[b0:b0 + a.size])
-        a *= -2
-        a += 1  # (-1)^f = 1 - 2f
-        keep[b0:b0 + a.size] = _run(factors, a, b)
-    if low < n:
-        _high_factors(out, low)
+    for c0, v in _walsh_chunks(tt, low, out.view(np.float32)):
+        out.reshape(len(v), -1)[:, c0:c0 + v.shape[1]] = v
     return out
 
 
-def _high_factors(out: np.ndarray, low: int):
-    """Second pass of walsh_spectrum: the factors on bits [low, n), in place.
+def _walsh_chunks(tt: TruthTable, low: int, keep: np.ndarray | None):
+    """The Walsh transform of tt, yielded as finished pieces (c0, v).
+
+    Seen as a (2^(n - low), 2^low) matrix W[w >> low, w & (2^low - 1)], v is
+    the block of columns c0 .. c0 + v.shape[1] - 1 of W, in float32 or
+    float64; it is a scratch buffer of the transform, valid (and free to
+    overwrite) until the next piece is asked for.
+
+    First pass: each block of min(2^n, BLOCK) inputs goes from its values
+    (-1)^f through every factor on bits [0, low) in two float32 buffers.
+    When low = n these are the pieces, one block (a single row) each, and
+    `keep` is not touched; otherwise the block is stored into the flat
+    2^n-entry `keep` (whose dtype must hold integers up to 2^low) and
+    _high_factors yields the pieces.
+    """
+    n = tt.n
+    factors = _factors(0, low)
+    a = np.empty(min(1 << n, BLOCK), dtype=np.float32)
+    b = np.empty_like(a)
+    for b0 in range(0, 1 << n, a.size):
+        np.copyto(a, tt.bits[b0:b0 + a.size])
+        a *= -2
+        a += 1  # (-1)^f = 1 - 2f
+        v = _run(factors, a, b)
+        if low == n:
+            yield b0, v.reshape(1, -1)
+        else:
+            keep[b0:b0 + a.size] = v
+    if low < n:
+        del a, b, v  # the second pass has buffers of its own
+        yield from _high_factors(keep, low)
+
+
+def _high_factors(keep: np.ndarray, low: int):
+    """Second pass of _walsh_chunks: the factors on bits [low, n).
 
     Seen as a (2^(n - low), 2^low) matrix, a column chunk holds every index
-    bit above `low` of its columns, so all those factors run on one chunk of
-    about BLOCK entries while it is in cache; it is then written back as
-    int32.  Factors ending above bit EXACT_BITS run in float64.
+    bit above `low` of its columns, so all those factors run on one chunk
+    while it is in cache; nothing is written back to `keep`.  A chunk holds
+    about BLOCK entries, but its rows are at least SEGMENT bytes of `keep`,
+    since shorter strided reads cost more than the products.  Factors
+    ending above bit EXACT_BITS run in float64.
     """
-    rows = out.size >> low
-    cols = max(1, BLOCK // rows)
+    rows = keep.size >> low
+    cols = min(1 << low, max(BLOCK // rows, SEGMENT // keep.itemsize))
     # index bit p >= low is bit p - low + log2(cols) of the flat chunk
     shift = cols.bit_length() - 1 - low
-    runs = _factors(low, out.size.bit_length() - 1)
+    runs = _factors(low, keep.size.bit_length() - 1)
     narrow = [(lo + shift, k) for lo, k in runs if lo + k <= EXACT_BITS]
     wide = [(lo + shift, k) for lo, k in runs if lo + k > EXACT_BITS]
-    kept = out.view(np.float32).reshape(rows, -1)
-    final = out.reshape(rows, -1)
+    kept = keep.reshape(rows, -1)
     a = np.empty((rows, cols), dtype=np.float32)
     b = np.empty_like(a)
     if wide:
@@ -187,7 +227,7 @@ def _high_factors(out: np.ndarray, low: int):
         if wide:
             np.copyto(a64, v)
             v = _run(wide, a64, b64)
-        final[:, c0:c0 + cols] = v
+        yield c0, v
 
 
 def _factors(lo: int, hi: int) -> list:
@@ -229,14 +269,26 @@ def walsh_at(tt: TruthTable, w: int) -> int:
 
 
 def is_bent(tt: TruthTable, spectrum=None) -> bool:
-    """Flat absolute spectrum |W| = 2^(n/2) everywhere; even n only."""
+    """Flat absolute spectrum |W| = 2^(n/2) everywhere; even n only.
+
+    Without a spectrum, the transform streams: its first pass covers at
+    most INT16_BITS bits and keeps int16, and each finished chunk is
+    checked and dropped.
+    """
     if tt.n % 2:
         raise ValueError("bent functions exist only for even n")
-    s = walsh_spectrum(tt) if spectrum is None else np.asarray(spectrum)
-    flat = 1 << (tt.n // 2)
-    # block by block, so no temporary the size of the spectrum
-    return all(bool((np.abs(s[i:i + BLOCK]) == flat).all())
-               for i in range(0, s.size, BLOCK))
+    n, flat = tt.n, 1 << (tt.n // 2)
+    if spectrum is None:
+        low = min(n, BLOCK.bit_length() - 1, INT16_BITS)
+        keep = np.empty(1 << n, dtype=np.int16) if low < n else None
+        # |W| in the transform's own scratch buffers
+        chunks = (np.abs(v, out=v) for _, v in _walsh_chunks(tt, low, keep))
+    else:
+        s = np.asarray(spectrum)
+        chunks = (np.abs(s[i:i + BLOCK]) for i in range(0, s.size, BLOCK))
+    # chunk by chunk, so no temporary the size of the spectrum, and the
+    # first chunk that fails ends the check
+    return all(bool((v == flat).all()) for v in chunks)
 
 
 def anf(tt: TruthTable) -> np.ndarray:
@@ -281,10 +333,18 @@ def _anf_words(bits: np.ndarray) -> np.ndarray:
 
 
 def _word_stages(w: np.ndarray, h: int):
-    """The Mobius stages on whole words h, 2h, .. < w.size, in place."""
+    """The Mobius stages on whole words h, 2h, .. < w.size, in place.
+
+    A stage on fewer than 8 words runs as one strided 1-D XOR per column:
+    numpy runs a 2-D XOR with rows of 2 or 4 words several times slower.
+    """
     while h < w.size:
         V = w.reshape(-1, 2 * h)
-        V[:, h:] ^= V[:, :h]
+        if h < 8:
+            for j in range(h):
+                V[:, h + j] ^= V[:, j]
+        else:
+            V[:, h:] ^= V[:, :h]
         h *= 2
 
 

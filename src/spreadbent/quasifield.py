@@ -15,8 +15,9 @@ it.  Division is available through two independent routes:
 * qdiv_formula — the closed form for each family, written once over
   field elements or broadcastable arrays of them.  Its terms in one
   element (Dickson values, combination coefficients, Frobenius powers,
-  ...) are q-entry tables (_closed_form; Kantor's are shared per field by
-  square_trace_inverse_eval), so a quotient is a few gathers.
+  ...) are tables over the field or over its logs (_closed_form; Kantor's
+  are shared per field by square_trace_inverse_eval), so a quotient is a
+  few gathers.
   div_table_formula builds the whole table from it: for the
   pre-semifields (`linear`) y -> y // x is F2-linear, so the m basis rows
   y = 2^i determine the rest by XOR; dm's rows come a block at a time,
@@ -269,21 +270,24 @@ class DempwolffMullerFamily(PreQuasifield):
 
     @cached_property
     def _closed_form(self):
-        """Logs of y^2, 1/x^(2^k + 1), 1/D_d(arg) (indexed by arg) and 1/x,
-        for y // x = (1/x) (1/D_d(arg)) with arg = y^2 / x^(2^k + 1).
-        Built on first use, as KnuthFamily._closed_form is."""
+        """Logs of y^2, 1/x^(2^k + 1) and 1/x, and the log of 1/D_d(arg)
+        indexed by the zero-sentinel log of arg (every index into zexp),
+        for y // x = (1/x) (1/D_d(arg)) with arg = y^2 / x^(2^k + 1): the
+        quotient is two gathers from intp logs, with no int32 element in
+        between.  Built on first use, as KnuthFamily._closed_form is."""
         ctx = self.ctx
         zlog, e = ctx.zlog, np.arange(ctx.order)
         return _frozen_tables(
             zlog[ctx.frob[1]],
             zlog[ctx.vinv(ctx.vpow(e, (1 << self.k) + 1))],
-            zlog[ctx.vinv(dickson_eval(ctx, self.d, e))],
+            zlog[ctx.vinv(dickson_eval(ctx, self.d, e))][ctx.zexp],
             zlog[ctx.vinv(e)])
 
     def qdiv_formula(self, y, x):
         l_y2, l_xp, l_dinv, l_xinv = self._closed_form
-        zexp = self.ctx.zexp
-        return zexp[l_dinv[zexp[l_y2[y] + l_xp[x]]] + l_xinv[x]]
+        t = l_dinv[l_y2[y] + l_xp[x]]
+        t += l_xinv[x]
+        return self.ctx.zexp[t]
 
 
 class KnuthFamily(PreQuasifield):

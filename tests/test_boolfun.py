@@ -115,8 +115,11 @@ def test_spectrum_of_linear_function():
 
 
 # a 16-entry block, 2-bit factors and float64 above bit 7: several blocks
-# from n = 5 on, several second-pass factors from n = 7, float64 from n = 8
-SMALL_FACTORS = {"BLOCK": 16, "FACTOR_BITS": 2, "EXACT_BITS": 7}
+# from n = 5 on, several second-pass factors from n = 7, float64 from n = 8;
+# 4-byte row segments, so the second pass takes BLOCK // rows float32
+# columns a chunk (at least one), as the default SEGMENT does at n <= 26
+SMALL_FACTORS = {"BLOCK": 16, "FACTOR_BITS": 2, "EXACT_BITS": 7,
+                 "SEGMENT": 4}
 
 
 def set_constants(monkeypatch, constants):
@@ -526,3 +529,118 @@ def test_spectrum_is_independent_of_blas_threads(tmp_path):
     bits = np.random.default_rng(22).integers(0, 2, 1 << 22, dtype=np.uint8)
     ref = hashlib.sha256(direct_walsh(bits).tobytes()).hexdigest()
     assert digests == [ref, ref]
+
+
+# ---------------------------------------------------------------------------
+# the streamed certificate: is_bent without a spectrum
+
+
+def streamed_spectrum(tt, low, keep):
+    """The pieces of bf._walsh_chunks put back together, as int64."""
+    import spreadbent.boolfun as bf
+    s = np.empty(tt.bits.size, dtype=np.int64)
+    for c0, v in bf._walsh_chunks(tt, low, keep):
+        s.reshape(len(v), -1)[:, c0:c0 + v.shape[1]] = v
+    return s
+
+
+@pytest.mark.parametrize("n", range(1, 20, 2))
+def test_streamed_certificate_rejects_odd_arity_before_any_transform(
+        n, monkeypatch):
+    import spreadbent.boolfun as bf
+
+    def no_transform(*args):
+        raise AssertionError("transform started")
+
+    monkeypatch.setattr(bf, "_walsh_chunks", no_transform)
+    with pytest.raises(ValueError):
+        is_bent(random_tt(n, n))
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_streamed_certificate_reaches_the_int16_edge(n):
+    # after the first pass on 14 bits, a constant is +-2^14 at every w
+    # with w & (2^14 - 1) = 0: the largest magnitude int16 must hold
+    import spreadbent.boolfun as bf
+    assert bf.INT16_BITS == 14 and 1 << 14 <= np.iinfo(np.int16).max
+    for value in (0, 1):
+        tt = TruthTable(n, np.full(1 << n, value, dtype=np.uint8))
+        keep = np.empty(1 << n, dtype=np.int16)
+        s = streamed_spectrum(tt, bf.INT16_BITS, keep)
+        assert int(np.abs(keep).max()) == 1 << 14
+        assert np.array_equal(s, walsh_spectrum(tt))
+        assert is_bent(tt) == is_bent(tt, walsh_spectrum(tt)) is False
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_streamed_certificate_with_small_factors(n, monkeypatch):
+    # many first-pass blocks, many chunks and the float64 path, at small n;
+    # the int16 intermediate then covers the 4 bits of a BLOCK of 16
+    import spreadbent.boolfun as bf
+    set_constants(monkeypatch, SMALL_FACTORS)
+    for tt in structured_tts(n):
+        low = min(n, 4)
+        keep = np.empty(1 << n, dtype=np.int16) if low < n else None
+        assert np.array_equal(streamed_spectrum(tt, low, keep),
+                              direct_walsh(tt.bits))
+        if n % 2 == 0:
+            assert is_bent(tt) == is_bent(tt, walsh_spectrum(tt))
+
+
+def test_streamed_certificate_holds_no_int32_spectrum():
+    import tracemalloc
+    n = 20
+    tt = inner_product_tt(n // 2)
+    tracemalloc.start()
+    try:
+        bent = is_bent(tt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bent
+    # the int16 intermediate and chunk buffers: less than one array of
+    # 4 bytes a point, which the int32 spectrum alone would be
+    assert 2 << n <= peak < 4 << n
+
+
+def count_chunks(monkeypatch):
+    """Count the second-pass chunks, the calls of _run on 2-D buffers."""
+    import spreadbent.boolfun as bf
+    calls = []
+    run = bf._run
+
+    def spy(factors, a, b):
+        if a.ndim == 2:
+            calls.append(a.shape)
+        return run(factors, a, b)
+
+    monkeypatch.setattr(bf, "_run", spy)
+    return calls
+
+
+def test_streamed_certificate_stops_at_the_first_failing_chunk(monkeypatch):
+    n = 20
+    calls = count_chunks(monkeypatch)
+    assert is_bent(inner_product_tt(n // 2))
+    chunks = len(calls)
+    # rows of 2^(n - 14) entries; every column is in exactly one chunk
+    assert chunks > 1 and sum(cols for _, cols in calls) == 1 << 14
+    calls.clear()
+    # the constant's W(0) = 2^n sits in column 0, in the first chunk
+    assert not is_bent(TruthTable(n, np.zeros(1 << n, dtype=np.uint8)))
+    assert len(calls) == 1
+    calls.clear()
+    assert not is_bent(random_tt(n, 3))
+    assert len(calls) == 1
+
+
+def test_walsh_spectrum_keeps_its_chunks(monkeypatch):
+    # the written spectrum's plan: bits [0, 16) first, then column chunks
+    # of BLOCK // rows float32 entries
+    import spreadbent.boolfun as bf
+    n = 20
+    calls = count_chunks(monkeypatch)
+    tt = random_tt(n, 4)
+    assert np.array_equal(walsh_spectrum(tt), direct_walsh(tt.bits))
+    rows = 1 << (n - 16)
+    assert calls == [(rows, bf.BLOCK // rows)] * rows

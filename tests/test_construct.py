@@ -249,3 +249,47 @@ def test_spectrum_summary_counts():
     parts = dict(p.split(":") for p in spectrum_summary(f).split(","))
     assert set(parts) == {"-8", "8"}
     assert int(parts["-8"]) + int(parts["8"]) == 64
+
+
+def _families_at(m):
+    """Every family that exists at m, dm with its first admissible k
+    among 3, 5 and 1."""
+    import math
+    if m >= 2:
+        yield make_family("field", m)
+    if m % 2 and m >= 3:
+        k = next(k for k in (3, 5, 1) if k < m and math.gcd(k, m) == 1)
+        yield make_family("dm", m, k=k)
+        yield make_family("knuth", m, beta=1)
+        yield make_family("kantor", m)
+
+
+def _flipped(tt, x):
+    bits = tt.bits.copy()
+    bits[x] ^= 1
+    return TruthTable._adopt(tt.n, bits)
+
+
+@pytest.mark.parametrize("n", range(2, 21, 2))
+def test_streamed_certificate_matches_the_spectrum(n):
+    # is_bent without a spectrum streams the transform through an int16
+    # intermediate; its verdict must be the whole spectrum's on PS-, PS+,
+    # one-bit flips in the first and the last block of inputs, and the
+    # function of an off-balance selector
+    from spreadbent.boolfun import walsh_spectrum
+    m = n // 2
+    cases = []
+    if m == 1:  # no family: x0 x1, the only bent shape at n = 2
+        cases.append((TruthTable(2, [0, 0, 0, 1]), True))
+    for Q in _families_at(m):
+        g = random_selector(m, n)
+        f = ps_minus(Q, g, certify=False)
+        off = np.zeros(1 << m, dtype=np.uint8)
+        off[list(g.support)[1:]] = 1  # 2^(m-1) - 1 slopes
+        cases += [(f, True), (ps_plus(f), True),
+                  (TruthTable(n, off[Q.div_table_formula().ravel()]), False)]
+    assert cases
+    for f, bent in list(cases):
+        cases += [(_flipped(f, 0), False), (_flipped(f, f.bits.size - 1), False)]
+    for f, bent in cases:
+        assert is_bent(f) == is_bent(f, walsh_spectrum(f)) == bent
