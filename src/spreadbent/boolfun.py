@@ -28,13 +28,13 @@ after bits [0, low), are integers of magnitude <= 2^low, so they are kept
 exactly as float32 for low <= 24 and as int16 for low <= 14 (INT16_BITS;
 2^15 would overflow).
 
-Two callers consume the chunks.  walsh_spectrum (for `bent build` and
-`bent spectrum`) writes them into its int32 output, with low = log2(BLOCK)
-and the intermediate kept as float32 in the output's own memory.  is_bent
-without a given spectrum (for ps_minus's certificate and `bent verify`)
-only checks them: low = min(n, 14), an int16 intermediate of 2 bytes a
-point (none for n <= 14, where the first pass yields the coefficients),
-and the first chunk with |W| != 2^(n/2) ends the check.
+Two callers consume the chunks.  walsh_spectrum (for `bent spectrum`, and
+`bent build`, which also certifies from it) writes them into its int32
+output, with low = log2(BLOCK) and the intermediate kept as float32 in the
+output's own memory.  is_bent (ps_minus's certificate, `bent verify`) only
+checks them: low = min(n, 14), an int16 intermediate of 2 bytes a point
+(none for n <= 14, where the first pass yields the coefficients), and the
+first chunk with |W| != 2^(n/2) ends the check.
 
 f is bent when |W(w)| = 2^(n/2) for every w — only possible for even n, and
 the flat spectrum is exactly Parseval's identity sum W^2 = 2^(2n) spread as
@@ -268,27 +268,19 @@ def walsh_at(tt: TruthTable, w: int) -> int:
     return int((1 - 2 * (tt.bits ^ inner).astype(np.int64)).sum())
 
 
-def is_bent(tt: TruthTable, spectrum=None) -> bool:
+def is_bent(tt: TruthTable) -> bool:
     """Flat absolute spectrum |W| = 2^(n/2) everywhere; even n only.
 
-    Without a spectrum, the transform streams: its first pass covers at
-    most INT16_BITS bits and keeps int16, and each finished chunk is
-    checked and dropped.
-    """
+    The transform streams through an int16 intermediate: no spectrum is
+    stored, and the first chunk that fails ends the check."""
     if tt.n % 2:
         raise ValueError("bent functions exist only for even n")
     n, flat = tt.n, 1 << (tt.n // 2)
-    if spectrum is None:
-        low = min(n, BLOCK.bit_length() - 1, INT16_BITS)
-        keep = np.empty(1 << n, dtype=np.int16) if low < n else None
-        # |W| in the transform's own scratch buffers
-        chunks = (np.abs(v, out=v) for _, v in _walsh_chunks(tt, low, keep))
-    else:
-        s = np.asarray(spectrum)
-        chunks = (np.abs(s[i:i + BLOCK]) for i in range(0, s.size, BLOCK))
-    # chunk by chunk, so no temporary the size of the spectrum, and the
-    # first chunk that fails ends the check
-    return all(bool((v == flat).all()) for v in chunks)
+    low = min(n, BLOCK.bit_length() - 1, INT16_BITS)
+    keep = np.empty(1 << n, dtype=np.int16) if low < n else None
+    # |W| in the transform's own scratch buffers
+    return all(bool((np.abs(v, out=v) == flat).all())
+               for _, v in _walsh_chunks(tt, low, keep))
 
 
 def anf(tt: TruthTable) -> np.ndarray:

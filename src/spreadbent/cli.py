@@ -26,6 +26,7 @@ import time
 
 from . import __version__
 from .boolfun import (
+    BLOCK,
     MAX_N,
     _anf_words,
     _word_degree,
@@ -38,7 +39,9 @@ from .boolfun import (
 from .construct import (
     CertificationError,
     _certify,
+    _format_counts,
     _label,
+    _spectrum_counts,
     ps_minus,
     ps_plus,
     random_selector,
@@ -250,13 +253,13 @@ def cmd_bent_build(args) -> int:
     if args.no_certify:
         bent = spectrum = "skipped"
     else:
-        # one Walsh transform certifies f and gives the spectrum= line
-        s = walsh_spectrum(f)
-        _certify(label, g, f, s)
-        if args.plus:
-            np.negative(s, out=s)  # the complement's spectrum
-        bent, spectrum = True, spectrum_summary(f, s)
-        del s  # freed before the complement and the ANF are allocated
+        # one Walsh transform, freed before the complement and the ANF are
+        # allocated: f is bent iff every value it takes is +-2^m
+        values, counts = _spectrum_counts(walsh_spectrum(f))
+        _certify(label, g, bool((np.abs(values) == 1 << args.m).all()))
+        if args.plus:  # the complement's spectrum is the negated one
+            values, counts = -values[::-1], counts[::-1]
+        bent, spectrum = True, _format_counts(values, counts)
         lap("walsh")  # the transform, the certificate and the summary
     if args.plus:
         f = ps_plus(f)
@@ -276,7 +279,7 @@ def cmd_bent_build(args) -> int:
 
 def cmd_bent_verify(args) -> int:
     f = load_tt(args.tt)
-    bent = is_bent(f)
+    bent = f.n % 2 == 0 and is_bent(f)  # none exists for odd n
     _emit({"command": "bent verify", "tt": args.tt, "n": f.n,
            "weight": f.weight(), "balanced": f.is_balanced(), "bent": bent})
     return 0 if bent else 1
@@ -296,12 +299,13 @@ def cmd_bent_spectrum(args) -> int:
     s = walsh_spectrum(f)
     if args.summary:
         _emit({"command": "bent spectrum", "tt": args.tt, "n": f.n,
-               "summary": spectrum_summary(f, s)})
+               "summary": spectrum_summary(s)})
         return 0
-    width = -(-f.n // 4)  # zero-padded hex keys sort numerically
-    out = sys.stdout
-    for w in range(s.shape[0]):
-        out.write(f"0x{w:0{width}x}={int(s[w])}\n")
+    line = f"0x%0{-(-f.n // 4)}x=%d\n"  # zero-padded keys sort numerically
+    for w0 in range(0, s.size, BLOCK):  # one format and write a chunk
+        v = s[w0:w0 + BLOCK]
+        pairs = np.column_stack((np.arange(w0, w0 + v.size), v))
+        sys.stdout.write(line * v.size % tuple(pairs.ravel().tolist()))
     return 0
 
 

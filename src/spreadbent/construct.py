@@ -17,15 +17,15 @@ component indicator vectors over the chosen slopes — touching only the
 multiplication table and never the division formulas.  The two routes must
 agree bit for bit; tests lean on that as the central cross-validation.
 
-ps_minus certifies its output bent with a full Walsh sweep by default
-(certify=False skips it for large m where the caller checks separately).
+ps_minus certifies its output bent with is_bent's streamed Walsh check by
+default; `bent build` reads its verdict off the summary's counted values.
 """
 
 import random
 
 import numpy as np
 
-from .boolfun import BLOCK, TruthTable, is_bent, walsh_spectrum
+from .boolfun import BLOCK, TruthTable, is_bent
 from .quasifield import PreQuasifield
 from .spread import Spread
 
@@ -131,7 +131,7 @@ def ps_minus(Q: PreQuasifield, g: Selector, certify: bool = True) -> TruthTable:
         np.take(g.table, part, out=bits[i:i + part.size])
     tt = TruthTable._adopt(2 * m, bits)  # fresh, so no copy
     if certify:
-        _certify(_label(Q), g, tt)
+        _certify(_label(Q), g, is_bent(tt))
     return tt
 
 
@@ -140,11 +140,9 @@ def _label(Q: PreQuasifield) -> str:
     return f"{Q.kind} (m={Q.ctx.m}, {Q.params})"
 
 
-def _certify(label: str, g: Selector, tt: TruthTable, spectrum=None):
-    """Raise CertificationError unless tt, built by ps_minus(Q, g) with
-    label = _label(Q), is bent (from its Walsh spectrum, computed here
-    unless given)."""
-    if not is_bent(tt, spectrum):
+def _certify(label: str, g: Selector, bent: bool):
+    """Raise CertificationError unless `bent`, the verdict on ps_minus(Q, g)."""
+    if not bent:
         raise CertificationError(
             f"{label}: construction is not bent with support {g.support}")
 
@@ -166,16 +164,22 @@ def ps_plus(f: TruthTable) -> TruthTable:
     return f.complement()
 
 
-def spectrum_summary(tt: TruthTable, spectrum=None) -> str:
-    """Compact `value:count` multiset of the Walsh spectrum, value-sorted.
+def spectrum_summary(spectrum) -> str:
+    """Compact `value:count` multiset of a Walsh spectrum, value-sorted."""
+    return _format_counts(*_spectrum_counts(spectrum))
 
-    `spectrum`, if given, is tt's Walsh spectrum, computed earlier."""
-    s = walsh_spectrum(tt) if spectrum is None else np.asarray(spectrum)
-    # count block by block, so no sorted copy of the whole spectrum
+
+def _spectrum_counts(s: np.ndarray) -> tuple:
+    """The distinct values of a spectrum, ascending, and their counts, taken
+    block by block, so no sorted copy of the whole spectrum is made."""
     parts = [np.unique(s[i:i + BLOCK], return_counts=True)
              for i in range(0, s.size, BLOCK)]
     values, where = np.unique(np.concatenate([v for v, _ in parts]),
                               return_inverse=True)
     counts = np.zeros(values.size, dtype=np.int64)
     np.add.at(counts, where, np.concatenate([c for _, c in parts]))
+    return values, counts
+
+
+def _format_counts(values, counts) -> str:
     return ",".join(f"{int(v)}:{int(c)}" for v, c in zip(values, counts))

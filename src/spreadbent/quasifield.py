@@ -21,8 +21,9 @@ it.  Division is available through two independent routes:
   div_table_formula builds the whole table from it: for the
   pre-semifields (`linear`) y -> y // x is F2-linear, so the m basis rows
   y = 2^i determine the rest by XOR; dm's rows come a block at a time,
-* qdiv_oracle — brute-force scan over all 2^m candidates, plus a vectorized
-  whole-table variant that inverts each column of the multiplication table.
+* the oracles — one inversion of the columns a -> a <> x of _mul, each
+  checked to be a permutation, then scattered: qdiv_oracle's columns 0
+  and x, and every column of div_table_oracle's cached mult_table.
 
 Families constructed in strict mode (the default for m <= 7) sweep the
 closed form and the table against the oracle over every input pair once,
@@ -39,7 +40,6 @@ fails it.
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -137,16 +137,25 @@ class PreQuasifield:
         raise NotImplementedError
 
     def qdiv_oracle(self, y: int, x: int) -> int:
-        """Exhaustive scan for the unique a with a <> x = y; 0 when x = 0."""
+        """The a with a <> x = y, from the oracle inversion of the columns
+        x' = 0 and x' = x of _mul; 0 when x = 0."""
         if x == 0:
             return 0
-        column = self._mul(np.arange(self.ctx.order, dtype=np.int32),
-                           np.int32(x))
-        sols = np.flatnonzero(column == y)
-        if len(sols) != 1:
+        e = np.arange(self.ctx.order, dtype=np.int32)[:, None]
+        return int(self._invert_columns(self._mul(e, np.int32([0, x])))[y, 1])
+
+    def _invert_columns(self, T: np.ndarray) -> np.ndarray:
+        """D[T[a, j], j] = a for the columns T[a, j] = a <> x_j of _mul,
+        x_0 = 0 and D[:, 0] = 0.  Raises ConsistencyError unless column 0
+        vanishes and every other column is a permutation."""
+        if np.any(T[:, 0]):
+            raise ConsistencyError(f"{self.kind}: a <> 0 must vanish")
+        if not _columns_are_permutations(T[:, 1:]):
             raise ConsistencyError(
-                f"{self.kind}: {len(sols)} solutions of a <> {x:#x} = {y:#x}")
-        return int(sols[0])
+                f"{self.kind}: some a -> a <> x is not a permutation")
+        D = np.zeros(T.shape, dtype=np.int32)
+        D[T[:, 1:], np.arange(1, T.shape[1])] = np.arange(len(T))[:, None]
+        return D
 
     # -- whole tables ----------------------------------------------------------
 
@@ -164,24 +173,8 @@ class PreQuasifield:
         return self._div_table
 
     def div_table_oracle(self) -> np.ndarray:
-        """D[y, x] from inverting each column of the multiplication table.
-
-        Independent of the closed forms: only _mul feeds it.  Raises
-        ConsistencyError if any column fails to be a permutation.
-        """
-        T = self.mult_table()
-        q = self.ctx.order
-        if np.any(T[:, 0]):
-            raise ConsistencyError(f"{self.kind}: a <> 0 must vanish")
-        body = T[:, 1:]
-        expect = np.broadcast_to(np.arange(q, dtype=T.dtype)[:, None], body.shape)
-        if not np.array_equal(np.sort(body, axis=0), expect):
-            raise ConsistencyError(
-                f"{self.kind}: some a -> a <> x is not a permutation")
-        D = np.zeros((q, q), dtype=np.int32)
-        cols = np.broadcast_to(np.arange(1, q), body.shape)
-        D[body, cols] = np.arange(q, dtype=np.int32)[:, None]
-        return D
+        """D[y, x] from inverting each column of the multiplication table."""
+        return self._invert_columns(self.mult_table())
 
     def _div_table_impl(self) -> np.ndarray:
         q = self.ctx.order
@@ -254,6 +247,7 @@ class DempwolffMullerFamily(PreQuasifield):
         self.e = (1 << (m - 1)) - (1 << (k - 1)) - 1
         self.d = dickson_inverse_exponent((1 << k) - 1, m)
         self._pow_e = _frozen(ctx.vpow(np.arange(ctx.order), self.e))  # a^e
+        self._closed_form = None  # built by the first qdiv_formula
         super().__init__(ctx, strict)
 
     @property
@@ -268,13 +262,12 @@ class DempwolffMullerFamily(PreQuasifield):
             L = L ^ ctx.frob[j][AX]
         return ctx.vmul(self._pow_e[A], L)
 
-    @cached_property
-    def _closed_form(self):
+    def _build_closed_form(self):
         """Logs of y^2, 1/x^(2^k + 1) and 1/x, and the log of 1/D_d(arg)
         indexed by the zero-sentinel log of arg (every index into zexp),
         for y // x = (1/x) (1/D_d(arg)) with arg = y^2 / x^(2^k + 1): the
         quotient is two gathers from intp logs, with no int32 element in
-        between.  Built on first use, as KnuthFamily._closed_form is."""
+        between.  Built on first use, as KnuthFamily's tables are."""
         ctx = self.ctx
         zlog, e = ctx.zlog, np.arange(ctx.order)
         return _frozen_tables(
@@ -284,6 +277,8 @@ class DempwolffMullerFamily(PreQuasifield):
             zlog[ctx.vinv(e)])
 
     def qdiv_formula(self, y, x):
+        if self._closed_form is None:
+            self._closed_form = self._build_closed_form()
         l_y2, l_xp, l_dinv, l_xinv = self._closed_form
         t = l_dinv[l_y2[y] + l_xp[x]]
         t += l_xinv[x]
@@ -311,6 +306,7 @@ class KnuthFamily(PreQuasifield):
             raise ValueError(f"beta must be a nonzero field element; "
                              f"got {beta:#x}")
         self.beta = beta
+        self._closed_form = None  # built by the first qdiv_formula
         super().__init__(ctx, strict)
 
     @property
@@ -323,8 +319,7 @@ class KnuthFamily(PreQuasifield):
                 ^ ctx.vsqr(A) * ctx.vtrace(ctx.vmul(self.beta, X))
                 ^ ctx.vsqr(X) * ctx.vtrace(ctx.vmul(self.beta, A)))
 
-    @cached_property
-    def _closed_form(self):
+    def _build_closed_form(self):
         """Logs of y^(2^i) and of c_i(x), each of shape (q, m).
 
         For fixed x every term of the division formula is F2-linear in y:
@@ -335,7 +330,9 @@ class KnuthFamily(PreQuasifield):
 
         Built on first use, after a table build allocates its q x q table:
         built first, they split the heap hole a freed table left, and one
-        family after another at m = 11 then peaked 8 MB higher.
+        family after another at m = 11 then peaked 8 MB higher.  Kept in
+        an attribute the constructor declares: on Python 3.11 a new key in
+        the instance __dict__ slows every later attribute read.
         """
         ctx = self.ctx
         q, m = ctx.order, ctx.m
@@ -355,6 +352,8 @@ class KnuthFamily(PreQuasifield):
         return _frozen_tables(zlog[frob.T.copy()], zlog[coef])
 
     def qdiv_formula(self, y, x):
+        if self._closed_form is None:
+            self._closed_form = self._build_closed_form()
         l_frob, l_coef = self._closed_form
         terms = self.ctx.zexp[l_frob[y] + l_coef[x]]
         return np.bitwise_xor.reduce(terms, axis=-1)
@@ -412,10 +411,10 @@ def make_family(name: str, m: int, *, k=None, beta=None, modulus=None,
     return KantorFamily(ctx, strict)
 
 
-def _rows_are_permutations(T, lo):
-    q = T.shape[1]
-    expect = np.broadcast_to(np.arange(q, dtype=T.dtype)[None, :], T[lo:].shape)
-    return np.array_equal(np.sort(T[lo:], axis=1), expect)
+def _columns_are_permutations(T) -> bool:
+    """Every column of T is a permutation of 0 .. len(T) - 1."""
+    a = np.arange(len(T), dtype=T.dtype)[:, None]
+    return np.array_equal(np.sort(T, axis=0), np.broadcast_to(a, T.shape))
 
 
 def _rows_additive(T) -> bool:
@@ -436,8 +435,8 @@ def verify_axioms(family: PreQuasifield) -> AxiomReport:
     return AxiomReport(
         family=family.kind, m=ctx.m, params=family.params,
         additive_group=True,
-        left_bijective=_rows_are_permutations(T, 1),
-        right_bijective=_rows_are_permutations(T.T.copy(), 1),
+        left_bijective=_columns_are_permutations(T[1:].T),
+        right_bijective=_columns_are_permutations(T[:, 1:]),
         left_distributive=_rows_additive(T),
         zero_law=bool(not np.any(T[0]) and not np.any(T[:, 0])),
         right_distributive=_rows_additive(T.T))

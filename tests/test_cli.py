@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spreadbent import __version__
@@ -326,6 +327,19 @@ def test_verify_non_bent_exits_one(tmp_path, capsys):
     assert report(capsys)["bent"] == "false"
 
 
+def test_verify_odd_arity_reports_not_bent(tmp_path, capsys):
+    # a valid file on odd n: its report says bent=false, with exit 1, as
+    # for any function that is not bent, not an invalid-parameter exit 2
+    from spreadbent.boolfun import TruthTable, save_tt
+    path = tmp_path / "odd.tt"
+    save_tt(TruthTable(5, [1] + [0] * 31), str(path))
+    assert run(["bent", "verify", "--tt", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (f"balanced=false\nbent=false\ncommand=bent verify\n"
+                            f"n=5\ntt={path}\nweight=1\n")
+    assert "error" not in captured.err
+
+
 def test_spectrum_full_dump_and_summary(tmp_path, capsys):
     out = tmp_path / "f.tt"
     run(["bent", "build", "--family", "knuth", "--m", "3", "--beta", "1",
@@ -338,6 +352,42 @@ def test_spectrum_full_dump_and_summary(tmp_path, capsys):
     assert all(line.split("=")[1] in ("8", "-8") for line in lines)
     assert run(["bent", "spectrum", "--tt", str(out), "--summary"]) == 0
     assert report(capsys)["summary"].count(":") == 2
+
+
+# sha256 of the full `bent spectrum` dump of an n = 14 bent function
+# (kantor m = 7, random:5; every line 0xWWWW=+-128) and of a seeded random
+# function (values of several widths and both signs), pinned from the
+# implementation that wrote one line at a time
+GOLDEN_DUMPS = {
+    "bent": "3d2b98911472e41121177d67121cfafec43db9e6f82e800a07d17bb840c202fd",
+    "random": "50af7065abc7d15902a656d81f1255f19cb35ec72f1998796d3ec6edff7face6",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_DUMPS))
+@pytest.mark.parametrize("block", [None, 1000])
+def test_spectrum_dump_reproduces_pinned_output(key, block, tmp_path,
+                                                monkeypatch, capsys):
+    # the dump is written a chunk at a time: in one chunk, and in chunks
+    # of 1000 coefficients with a short last one
+    import hashlib
+
+    import spreadbent.cli as cli
+    from spreadbent.boolfun import TruthTable, save_tt
+    if block:
+        monkeypatch.setattr(cli, "BLOCK", block)
+    path = str(tmp_path / "f.tt")
+    if key == "bent":
+        run(["bent", "build", "--family", "kantor", "--m", "7",
+             "--g", "random:5", "--out", path])
+    else:
+        rng = np.random.default_rng(14)
+        save_tt(TruthTable(14, rng.integers(0, 2, 1 << 14, dtype=np.uint8)),
+                path)
+    capsys.readouterr()
+    assert run(["bent", "spectrum", "--tt", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DUMPS[key]
 
 
 def test_anf_report(tmp_path, capsys):
@@ -583,7 +633,6 @@ def test_verify_reproduces_pinned_output(key, capsys):
 def test_build_runs_one_walsh_transform(tmp_path, monkeypatch, capsys):
     import spreadbent.boolfun as boolfun
     import spreadbent.cli as cli
-    import spreadbent.construct as construct
     calls = []
 
     def counting(tt):
@@ -591,7 +640,7 @@ def test_build_runs_one_walsh_transform(tmp_path, monkeypatch, capsys):
         return walsh(tt)
 
     walsh = boolfun.walsh_spectrum
-    for module in (boolfun, construct, cli):  # wherever it is looked up
+    for module in (boolfun, cli):  # wherever it is looked up
         monkeypatch.setattr(module, "walsh_spectrum", counting)
     for plus in ([], ["--plus"]):
         calls.clear()
@@ -605,6 +654,63 @@ def test_build_runs_one_walsh_transform(tmp_path, monkeypatch, capsys):
         assert run(["bent", "spectrum", "--tt", str(tmp_path / "f.tt"),
                     "--summary"]) == 0
         assert report(capsys)["summary"] == rep["spectrum"]
+
+
+def test_build_certifies_from_the_counted_spectrum(tmp_path, monkeypatch,
+                                                   capsys):
+    # the verdict comes from the values the spectrum= line counts: no
+    # second pass over the spectrum, and no second transform
+    import spreadbent.boolfun as boolfun
+    import spreadbent.cli as cli
+    import spreadbent.construct as construct
+    calls = []
+
+    def counting(tt):
+        calls.append(tt.n)
+        return walsh(tt)
+
+    def no_second_pass(*args):
+        raise AssertionError("is_bent called")
+
+    walsh = boolfun.walsh_spectrum
+    monkeypatch.setattr(cli, "walsh_spectrum", counting)
+    for module in (boolfun, construct, cli):
+        monkeypatch.setattr(module, "is_bent", no_second_pass)
+    for plus, weight in (([], "496"), (["--plus"], "528")):
+        calls.clear()
+        assert run(["bent", "build", "--family", "dm", "--m", "5", "--k", "3",
+                    "--g", "random:2", "--out", str(tmp_path / "f.tt"),
+                    *plus]) == 0
+        assert calls == [10]
+        rep = report(capsys)
+        assert (rep["bent"], rep["weight"]) == ("true", weight)
+
+
+def test_build_verdict_reads_every_block_of_the_spectrum(tmp_path,
+                                                        monkeypatch, capsys):
+    # the spectrum is counted in blocks of 16 here: one coefficient off
+    # +-2^m in the first, a middle or the last block fails the certificate
+    import spreadbent.cli as cli
+    import spreadbent.construct as construct
+    monkeypatch.setattr(construct, "BLOCK", 16)
+    walsh, corrupt = cli.walsh_spectrum, []
+
+    def spectrum(tt):
+        s = walsh(tt)
+        s[corrupt] = 0
+        return s
+
+    monkeypatch.setattr(cli, "walsh_spectrum", spectrum)
+    argv = ["bent", "build", "--family", "field", "--m", "4", "--g",
+            "random:1", "--out", str(tmp_path / "f.tt")]
+    assert run(argv) == 0  # the n = 8 spectrum in 16 blocks
+    assert report(capsys)["spectrum"] == "-16:120,16:136"
+    for w in (0, 17, 255):
+        corrupt[:] = [w]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "construction is not bent" in captured.err
 
 
 def test_build_releases_the_family_before_the_walsh_transform(

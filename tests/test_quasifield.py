@@ -221,6 +221,19 @@ def test_cached_family_tables_are_frozen():
     assert "_pow_e" in vars(make_family("dm", 9, k=5, strict=False))
 
 
+def test_lazy_closed_forms_fill_a_declared_attribute():
+    # knuth's and dm's tables wait for the first division, in an attribute
+    # the constructor declares: a key added to the instance __dict__ after
+    # construction slows every later attribute read on Python 3.11
+    for Q in (make_family("knuth", 9, beta=3, strict=False),
+              make_family("dm", 9, k=5, strict=False)):
+        keys = list(vars(Q))
+        assert "_closed_form" in keys and Q._closed_form is None
+        assert Q.qdiv_formula(3, 5) == Q.qdiv_oracle(3, 5)
+        assert list(vars(Q)) == keys
+        assert all(not t.flags.writeable for t in Q._closed_form)
+
+
 def test_oracle_detects_broken_multiplication():
     class Broken(FieldFamily):
         def _mul(self, A, X):
