@@ -170,6 +170,42 @@ def test_bent_rejects_odd_arity():
         is_bent(random_tt(5, 2))
 
 
+def test_is_bent_accepts_precomputed_spectrum():
+    # a spectrum computed once is certified from the values it takes, as
+    # bent build does: every value is +-2^m exactly when is_bent holds
+    from spreadbent.construct import _spectrum_counts
+    tt = inner_product_tt(2)
+    for f, bent in ((tt, True), (tt.complement(), True),
+                    (random_tt(4, 1), False)):
+        values, _ = _spectrum_counts(walsh_spectrum(f))
+        assert bool((np.abs(values) == 4).all()) == is_bent(f) == bent
+
+
+def test_is_bent_checks_every_block(monkeypatch):
+    # the streamed check reads every chunk: one coefficient set to 0 in
+    # any chunk of the n = 8 transform makes it fail
+    import spreadbent.boolfun as bf
+    set_constants(monkeypatch, SMALL_FACTORS)
+    tt, chunks = inner_product_tt(4), bf._walsh_chunks
+    corrupt, seen = [], []
+
+    def spectrum(tt, low, keep):
+        for c0, v in chunks(tt, low, keep):
+            seen.append(c0)
+            for w in corrupt:
+                col = (w & ((1 << low) - 1)) - c0
+                if 0 <= col < v.shape[1]:
+                    v[w >> low, col] = 0
+            yield c0, v
+
+    monkeypatch.setattr(bf, "_walsh_chunks", spectrum)
+    assert is_bent(tt)
+    assert len(seen) > 2  # a first, middle and last chunk
+    for w in range(1 << tt.n):
+        corrupt[:] = [w]
+        assert not is_bent(tt)
+
+
 # ---------------------------------------------------------------------------
 # ANF and degree
 
