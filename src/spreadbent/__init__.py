@@ -36,8 +36,6 @@ from .quasifield import (
     verify_axioms,
 )
 from .spread import (
-    INFINITY,
-    Point,
     Spread,
     SpreadReport,
     build_spread,
@@ -81,8 +79,7 @@ __all__ = [
     "DempwolffMullerFamily", "KnuthFamily", "KantorFamily", "FAMILY_NAMES",
     "make_family", "verify_axioms",
     # spreads
-    "INFINITY", "Point", "Spread", "SpreadReport", "build_spread",
-    "verify_spread", "dump_spread",
+    "Spread", "SpreadReport", "build_spread", "verify_spread", "dump_spread",
     # boolean functions
     "TruthTable", "walsh_spectrum", "walsh_at", "is_bent", "anf", "degree",
     "save_tt", "load_tt",

@@ -155,7 +155,7 @@ def ps_from_components(S: Spread, slopes) -> TruthTable:
     g = selector_from_support(m, slopes)
     bits = np.zeros(1 << (2 * m), dtype=np.uint8)
     for a in g.support:
-        bits[S.component(a)] ^= 1
+        bits[S.components[a]] ^= 1
     return TruthTable._adopt(2 * m, bits)
 
 

@@ -2,14 +2,14 @@
 
 Field elements are plain Python ints in [0, 2^m): bit i of the int is the
 coefficient of x^i in a polynomial over F2, reduced modulo an irreducible
-modulus.  A FieldCtx carries m, the modulus and precomputed lookup tables;
-every operation takes and returns ints, so elements need no wrapper type.
-Addition is XOR, and inv(0) = 0 keeps the division formulas built on this
-module total.  Only solve_quadratic answers in GF(2^(2m)), with a pair.
+modulus.  A FieldCtx carries m, the modulus and precomputed lookup tables,
+so elements need no wrapper type.  Addition is XOR, and vinv(0) = 0 keeps
+the division formulas built on this module total.
 
-Vectorized counterparts of the scalar operations (vmul, vinv, vpow, ...)
-operate on numpy integer arrays elementwise and are used by the exhaustive
-sweeps elsewhere in the package.  Both kinds read one zero-sentinel log/exp
+The scalar operations mul and pow take and return ints; solve_quadratic
+takes an int and answers in GF(2^(2m)), with a pair.  The v-operations
+(vmul, vinv, vpow, vsqr, vtrace) work elementwise on a numpy integer array
+or on a single element.  Both kinds read one zero-sentinel log/exp
 pair (zlog[0] points into a zero tail of zexp, so zexp[zlog[a] + zlog[b]] =
 a b with no special case for 0).  The context builds every table from the
 one before: zexp from the generator, the least g whose powers fill all
@@ -152,13 +152,6 @@ class FieldCtx:
             return 0
         return int(self.zexp[self.zlog[a] + self.zlog[b]])
 
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse, extended by inv(0) = 0."""
-        return int(self._inv[a])
-
     def pow(self, a: int, e: int) -> int:
         """a**e with 0**0 = 1 and 0**e = 0 for e > 0."""
         if e < 0:
@@ -166,10 +159,6 @@ class FieldCtx:
         if a == 0:
             return 1 if e == 0 else 0
         return int(self.zexp[int(self.zlog[a]) * (e % self._q1) % self._q1])
-
-    def trace(self, a: int) -> int:
-        """Absolute trace, as the integer 0 or 1."""
-        return int(self.trace_table[a])
 
     def solve_quadratic(self, x: int):
         """A root t of t^2 + x*t + 1 = 0 in GF(2^(2m)), for x != 0.
@@ -187,8 +176,8 @@ class FieldCtx:
         even = np.arange(0, self.order, 2)
         root = np.zeros(self.order, dtype=np.int32)
         root[self.frob[1][even] ^ even] = even
-        c = self.inv(self.sqr(x))
-        if self.trace(c) == 0:
+        c = int(self._inv[self.frob[1][x]])
+        if self.trace_table[c] == 0:
             return (self.mul(x, int(root[c])), 0)
         # with t = x*(s + u), s^2 + s = c + c1, which has trace 0
         c1 = int(np.flatnonzero(self.trace_table)[0])
@@ -200,6 +189,7 @@ class FieldCtx:
         return self.zexp[self.zlog[A] + self.zlog[B]]
 
     def vinv(self, A):
+        """Multiplicative inverse, extended by vinv(0) = 0."""
         return self._inv[A]
 
     def vpow(self, A, e: int):
@@ -217,6 +207,7 @@ class FieldCtx:
         return self.frob[1][A]
 
     def vtrace(self, A):
+        """Absolute trace, 0 or 1 as uint8."""
         return self.trace_table[A]
 
 

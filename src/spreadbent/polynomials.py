@@ -184,7 +184,7 @@ def quad_trace_map(ctx: FieldCtx, a: int) -> LinearizedMap:
     """The map z -> a z + a^2 z^2 + tr(z)."""
     coeffs = [1] * ctx.m
     coeffs[0] ^= a
-    coeffs[1] ^= ctx.sqr(a)
+    coeffs[1] ^= int(ctx.frob[1][a])
     return LinearizedMap(ctx, coeffs)
 
 
@@ -195,7 +195,7 @@ def square_trace_map(ctx: FieldCtx, a: int) -> LinearizedMap:
     """The map z -> a z^2 + tr(a z) + tr(a) z."""
     coeffs = [ctx.pow(a, 1 << i) for i in range(ctx.m)]  # tr(a z)
     coeffs[1] ^= a
-    coeffs[0] ^= ctx.trace(a)
+    coeffs[0] ^= int(ctx.trace_table[a])
     return LinearizedMap(ctx, coeffs)
 
 

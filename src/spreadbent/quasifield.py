@@ -3,14 +3,14 @@
 Four families share one interface: the field itself (baseline), the
 Dempwolff-Muller twist a^e * L(a x), the Knuth trace twist
 a x + a^2 tr(beta x) + x^2 tr(beta a), and the Kantor trace twist
-a^2 x + tr(a x) + a tr(x).  Throughout, qmul(a, x) computes a <> x and
+a^2 x + tr(a x) + a tr(x).  Throughout, a <> x is the product and
 division solves the LEFT operand: qdiv(y, x) is the unique a with
 a <> x = y (and 0 when x = 0).  That operand is the slope of the spread
 component through (x, y), which is why it comes first.
 
 Each family writes its multiplication once, as _mul over field elements
-or broadcast arrays of them; qmul, mult_table and the oracles all run on
-it.  Division is available through two independent routes:
+or broadcast arrays of them; mult_table and the oracles both run on it.
+Division is available through two independent routes:
 
 * qdiv_formula — the closed form for each family, written once over
   field elements or broadcastable arrays of them.  Its terms in one
@@ -127,9 +127,6 @@ class PreQuasifield:
         raise NotImplementedError
 
     # -- scalar operations ---------------------------------------------------
-
-    def qmul(self, a: int, x: int) -> int:
-        return int(self._mul(np.int32(a), np.int32(x)))
 
     def qdiv_formula(self, y, x):
         """The closed-form y // x (0 when x = 0), elementwise over field

@@ -5,12 +5,8 @@ Points are pairs (x, y) of field elements, packed into a single index
 components: E_a = {(x, a <> x)} for each slope a, plus E_inf = {(0, t)}.
 Together they partition the nonzero points — every component is an
 m-dimensional subspace, any two meet only at the origin, and
-(2^m + 1)(2^m - 1) + 1 = 2^(2m) counts the cover exactly.
-
-The slope of a nonzero point is recovered by division: (x, y) lies on
-E_(y // x) for x != 0 and on E_inf otherwise.  Slope infinity is a
-distinguished sentinel object, never a field element, so it can't alias
-slope 2^m - 1.
+(2^m + 1)(2^m - 1) + 1 = 2^(2m) counts the cover exactly.  So a nonzero
+point (x, y) lies on E_(y // x) for x != 0 and on E_inf otherwise.
 
 Components are materialized as sorted index arrays (not hash sets): reports
 and dumps stay byte-deterministic, and the verification sweeps are plain
@@ -18,36 +14,10 @@ vectorized gathers.
 """
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
 from .quasifield import AXIOM_MAX_M, PreQuasifield
-
-
-class _InfinitySlope:
-    """Singleton tag for the vertical component {(0, t)}."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "inf"
-
-
-INFINITY = _InfinitySlope()
-
-
-class Point(NamedTuple):
-    x: int
-    y: int
-
-
-def point_index(p: Point, m: int) -> int:
-    return (p.y << m) | p.x
-
-
-def point_from_index(i: int, m: int) -> Point:
-    return Point(i & ((1 << m) - 1), i >> m)
 
 
 class Spread:
@@ -63,20 +33,6 @@ class Spread:
     @property
     def ctx(self):
         return self.source.ctx
-
-    def component(self, slope) -> np.ndarray:
-        """Sorted point indices of E_slope (slope: element or INFINITY)."""
-        if slope is INFINITY:
-            return self.components[-1]
-        return self.components[slope]
-
-    def slope_of(self, p: Point):
-        """The unique component through a nonzero point, via division."""
-        if p.x == 0 and p.y == 0:
-            raise ValueError("the origin lies on every component")
-        if p.x == 0:
-            return INFINITY
-        return self.source.qdiv_formula(p.y, p.x)
 
 
 def build_spread(Q: PreQuasifield) -> Spread:
@@ -127,6 +83,7 @@ def verify_spread(S: Spread) -> SpreadReport:
     (each is then automatically an m-dimensional subspace).  Globally: the
     origin lies on every component, every other point on exactly one, and
     the components hold (2^m + 1) 2^m points counted with multiplicity.
+    An empty component list fails every global check but pairwise.
     """
     ctx = S.ctx
     m = ctx.m
@@ -137,14 +94,15 @@ def verify_spread(S: Spread) -> SpreadReport:
     comps = S.components
 
     sizes_ok = (len(comps) == q + 1
-                and all(len(np.unique(c)) == q for c in comps))
+                and all(len(c) == q == len(np.unique(c)) for c in comps))
     closure = []
     for c in comps:
         mask = np.zeros(n2, dtype=bool)
         mask[c] = True
         closure.append(bool(mask[c[:, None] ^ c[None, :]].all()))
 
-    counts = np.bincount(np.concatenate(comps), minlength=n2)
+    counts = np.bincount(np.concatenate([np.empty(0, np.int64), *comps]),
+                         minlength=n2)
     pairwise = bool(counts[0] == len(comps) and (counts[1:] <= 1).all())
     covers = bool((counts >= 1).all())
     counting = int(counts.sum()) == (q + 1) * q

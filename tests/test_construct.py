@@ -16,8 +16,9 @@ from spreadbent.construct import (
     selector_from_support,
     spectrum_summary,
 )
+from spreadbent.field import default_modulus, is_irreducible, polymul_mod
 from spreadbent.quasifield import KantorFamily, make_family
-from spreadbent.spread import INFINITY, build_spread
+from spreadbent.spread import build_spread
 
 FAMILIES = [("field", {}), ("dm", {"k": 1}), ("knuth", {"beta": 3}),
             ("kantor", {})]
@@ -51,7 +52,7 @@ def test_selector_from_support():
     with pytest.raises(ValueError):
         selector_from_support(3, {1, 2, 4, 9})  # out of range
     with pytest.raises(ValueError):
-        selector_from_support(3, {1, 2, 4, INFINITY})
+        selector_from_support(3, [1, 2, 4, 7.0])  # not an int
 
 
 def test_selector_equality_and_immutability():
@@ -161,7 +162,7 @@ def test_ps_from_components_validation():
     with pytest.raises(ZeroInSupportError):
         ps_from_components(S, {0, 1, 2, 3})
     with pytest.raises(ValueError):
-        ps_from_components(S, {1, 2, 4, INFINITY})
+        ps_from_components(S, {1, 2, 4, 8})  # components[8] is E_inf
 
 
 def test_ps_from_components_basics():
@@ -292,3 +293,77 @@ def test_streamed_certificate_matches_the_spectrum(n):
     for f, bent in cases:
         flat = (np.abs(walsh_spectrum(f)) == 1 << m).all()
         assert is_bent(f) == flat == bent
+
+
+# ---------------------------------------------------------------------------
+# the signed spectrum through the dual spread, and a change of modulus
+
+SIGNED_CASES = [(name, m, kw) for m in (3, 5, 7) for name, kw in FAMILIES]
+SIGNED_CASES.append(("field", 4, {}))
+SIGNED_IDS = [f"{name}-m{m}" for name, m, _ in SIGNED_CASES]
+
+
+def _dual_ps(Q, g):
+    """f~ = 1 on E_a^perp \\ {0} for each a in supp g, 0 elsewhere.
+
+    E_a is the graph of L_a: x -> a <> x, so under the pairing
+    popcount(w & z) its annihilator is {(L_a^T v, v)}, where bit i of
+    L_a^T v is popcount((a <> 2^i) & v) mod 2."""
+    m, q = Q.ctx.m, Q.ctx.order
+    T = Q.mult_table()
+    v = np.arange(q)
+    bits = np.zeros(q * q, dtype=np.uint8)
+    for a in g.support:
+        lt = np.zeros(q, dtype=np.int64)
+        for i in range(m):
+            lt |= (np.bitwise_count(int(T[a, 1 << i]) & v) & 1).astype(
+                np.int64) << i
+        bits[(v << m) | lt] = 1
+    bits[0] = 0
+    return bits
+
+
+@pytest.mark.parametrize("name,m,kw", SIGNED_CASES, ids=SIGNED_IDS)
+def test_walsh_spectrum_is_the_dual_ps_function(name, m, kw):
+    # Dillon: W_f = 2^m (1 - 2 f~) exactly, signs included, where |W| alone
+    # would pass any sign error
+    Q = make_family(name, m, **kw)
+    for seed in (1, 2):
+        g = random_selector(m, seed)
+        W = walsh_spectrum(ps_minus(Q, g, certify=False))
+        dual = _dual_ps(Q, g).astype(np.int64)
+        assert np.array_equal(W, (1 << m) * (1 - 2 * dual))
+
+
+def _poly_at(poly, r, mod):
+    """The binary polynomial `poly` evaluated at r in GF(2)[x]/(mod)."""
+    acc = 0
+    for bit in bin(poly)[2:]:
+        acc = polymul_mod(acc, r, mod) ^ int(bit)
+    return acc
+
+
+@pytest.mark.parametrize("name,m,kw", SIGNED_CASES, ids=SIGNED_IDS)
+def test_change_of_modulus_maps_f_onto_f(name, m, kw):
+    # phi: x -> r, for a root r of the first modulus modulo the second, is
+    # a field isomorphism built from polynomial arithmetic alone; every
+    # family is written in field operations and the trace, so
+    # f2(phi x, phi y) = f1(x, y) when g2 = g1 o phi^-1 and beta2 = phi(beta1)
+    mod1 = default_modulus(m)
+    mod2 = next(c for c in range(mod1 + 2, 1 << (m + 1), 2)
+                if is_irreducible(c))
+    q = 1 << m
+    r = next(r for r in range(q) if _poly_at(mod1, r, mod2) == 0)
+    phi = np.array([_poly_at(c, r, mod2) for c in range(q)])
+    assert sorted(phi) == list(range(q))
+    kw2 = {k: int(phi[v]) if k == "beta" else v for k, v in kw.items()}
+    Q1 = make_family(name, m, **kw)
+    Q2 = make_family(name, m, modulus=mod2, **kw2)
+    z = np.arange(q * q)
+    image = (phi[z >> m] << m) | phi[z & (q - 1)]
+    for seed in (1, 2):
+        g1 = random_selector(m, seed)
+        g2 = selector_from_support(m, phi[list(g1.support)].tolist())
+        f1 = ps_minus(Q1, g1, certify=False)
+        f2 = ps_minus(Q2, g2, certify=False)
+        assert np.array_equal(f2.bits[image], f1.bits)

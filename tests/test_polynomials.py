@@ -252,7 +252,7 @@ def test_dickson_permutation_roundtrip(m, k):
 def combo_inverse(ctx, a):
     """The inverse of quad_trace_map(ctx, a) that combo_coeffs gives:
     r C(z) + r tr(r z) with r = 1/a, as coefficients r (c_i + r^(2^i))."""
-    r = ctx.inv(a)
+    r = int(ctx.vinv(a))
     return LinearizedMap(ctx, [ctx.mul(r, c ^ ctx.pow(r, 1 << i))
                                for i, c in enumerate(combo_coeffs(ctx, r))])
 
@@ -278,7 +278,7 @@ def test_quad_trace_inverse_composes(m):
     ctx = field_ctx(m)
     for a in range(1, ctx.order):
         L = quad_trace_map(ctx, a)
-        if ctx.trace(ctx.inv(a)) != 1:
+        if ctx.vtrace(ctx.vinv(a)) != 1:
             with pytest.raises(NotBijectiveError):
                 invert_linearized(L)
             continue

@@ -1,4 +1,8 @@
-"""Tests for spread construction, verification, slopes, and dumps."""
+"""Tests for spread construction, verification, slopes, and dumps.
+
+A point (x, y) is the index (y << m) | x; components[a] is E_a for the
+slopes a < 2^m and components[-1] is E_inf = {(0, t)}.
+"""
 
 import numpy as np
 import pytest
@@ -6,43 +10,19 @@ import pytest
 from spreadbent.field import field_ctx
 from spreadbent.quasifield import (AXIOM_MAX_M, FieldFamily, PreQuasifield,
                                    make_family)
-from spreadbent.spread import (
-    INFINITY,
-    Point,
-    Spread,
-    build_spread,
-    dump_spread,
-    point_from_index,
-    point_index,
-    verify_spread,
-)
-
-
-def test_point_index_roundtrip():
-    m = 5
-    for i in range(1 << (2 * m)):
-        p = point_from_index(i, m)
-        assert point_index(p, m) == i
-    assert point_index(Point(x=3, y=1), 3) == 0b001011
-
-
-def test_point_addition_is_index_xor():
-    m = 4
-    for i in (0, 1, 77, 200, 255):
-        for j in (0, 5, 131, 254):
-            p, r = point_from_index(i, m), point_from_index(j, m)
-            s = Point(p.x ^ r.x, p.y ^ r.y)
-            assert point_index(s, m) == i ^ j
+from spreadbent.spread import Spread, build_spread, dump_spread, verify_spread
 
 
 def test_build_spread_structure():
     Q = make_family("kantor", 3)
     S = build_spread(Q)
     assert len(S.components) == 9
+    xs = np.arange(8, dtype=np.int32)
     for a in range(8):
-        comp = set(int(i) for i in S.component(a))
-        assert comp == {(Q.qmul(a, x) << 3) | x for x in range(8)}
-    assert list(S.component(INFINITY)) == [t << 3 for t in range(8)]
+        comp = set(int(i) for i in S.components[a])
+        assert comp == {(int(y) << 3) | x
+                        for x, y in enumerate(Q._mul(np.int32(a), xs))}
+    assert list(S.components[-1]) == [t << 3 for t in range(8)]
     for c in S.components:
         assert c[0] == 0  # origin everywhere
         assert list(c) == sorted(c)
@@ -54,7 +34,7 @@ def test_field_spread_matches_linear_components():
     S = build_spread(make_family("field", 3))
     for a in range(8):
         expect = sorted((ctx.mul(a, x) << 3) | x for x in range(8))
-        assert list(S.component(a)) == expect
+        assert list(S.components[a]) == expect
 
 
 @pytest.mark.parametrize("name,m,kw", [
@@ -97,35 +77,36 @@ def test_build_spread_checks_the_cap_before_any_table(monkeypatch):
 
 
 def test_slope_of():
-    Q = make_family("knuth", 3, beta=1)
-    S = build_spread(Q)
-    with pytest.raises(ValueError):
-        S.slope_of(Point(0, 0))
+    # the origin lies on every component, the other points (0, y) on E_inf
+    # alone, and the points (x, 0) on E_0 alone
+    S = build_spread(make_family("knuth", 3, beta=1))
+    members = [set(map(int, c)) for c in S.components]
+    assert all(0 in mem for mem in members)
     for y in range(1, 8):
-        assert S.slope_of(Point(0, y)) is INFINITY
+        assert [k for k, mem in enumerate(members) if y << 3 in mem] == [8]
     for x in range(1, 8):
-        assert S.slope_of(Point(x, 0)) == 0
+        assert [k for k, mem in enumerate(members) if x in mem] == [0]
 
 
 def test_slope_matches_membership_exhaustively():
+    # every point (x != 0, y) of components[a] has y // x = a, and the
+    # origin is its only point with x = 0
     for Q in (make_family("field", 3), make_family("dm", 3, k=1),
-              make_family("kantor", 3)):
+              make_family("knuth", 3, beta=3), make_family("kantor", 3)):
         S = build_spread(Q)
-        members = [set(map(int, c)) for c in S.components]
-        for i in range(1, 64):
-            p = point_from_index(i, 3)
-            s = S.slope_of(p)
-            where = [k for k, mem in enumerate(members) if i in mem]
-            expect = 8 if s is INFINITY else s
-            assert where == [expect]
+        for a, comp in enumerate(S.components[:-1]):
+            x, y = comp & 7, comp >> 3
+            assert list(comp[x == 0]) == [0]
+            assert (Q.qdiv_formula(y[x != 0], x[x != 0]) == a).all()
+        assert list(S.components[-1]) == [t << 3 for t in range(8)]
 
 
 def test_field_slopes_are_ratios():
     ctx = field_ctx(4)
     S = build_spread(make_family("field", 4))
-    for x in range(1, 16):
-        for y in range(16):
-            assert S.slope_of(Point(x, y)) == ctx.mul(y, ctx.inv(x))
+    for a, comp in enumerate(S.components[:-1]):
+        x, y = comp & 15, comp >> 4
+        assert (ctx.vmul(y[x != 0], ctx.vinv(x[x != 0])) == a).all()
 
 
 def test_corrupted_spread_fails():
@@ -151,6 +132,21 @@ def test_duplicated_point_fails():
     assert not rep.sizes_ok or not rep.covers_space
 
 
+def test_oversized_component_with_a_repeated_point_fails_sizes():
+    # q + 1 entries holding q distinct points
+    S = build_spread(make_family("field", 3))
+    comps = list(S.components)
+    comps[3] = np.sort(np.append(comps[3], comps[3][2]))
+    rep = verify_spread(Spread(S.source, comps))
+    assert not rep.sizes_ok and not rep.passed
+
+
+def test_empty_component_list_fails():
+    rep = verify_spread(Spread(make_family("field", 3), []))
+    assert rep.component_count == 0
+    assert not rep.sizes_ok and not rep.covers_space and not rep.passed
+
+
 def test_distributivity_fault_breaks_closure():
     class Crooked(FieldFamily):
         def _mul(self, A, X):
@@ -158,11 +154,6 @@ def test_distributivity_fault_breaks_closure():
 
     rep = verify_spread(build_spread(Crooked(field_ctx(3), strict=False)))
     assert not all(rep.closure_ok)
-
-
-def test_infinity_sentinel():
-    assert repr(INFINITY) == "inf"
-    assert INFINITY != 7 and INFINITY != (1 << 3) - 1
 
 
 def test_components_are_immutable():
